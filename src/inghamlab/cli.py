@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import jsonschema
@@ -22,7 +23,7 @@ from .counterexample import (MODE_LINEAR, MODE_THETA, CounterexampleParams,
 from .envelopes import HOLDS
 from .fourier import fourier_transform, fourier_transform_direct, l2_norm
 from .grids import Grid, SampledFunction, SpectralFunction
-from .groups import (preset, spherical_transform_direct,
+from .groups import (phi_weight, preset, spherical_transform_direct,
                      spherical_transform_reduced)
 from .schrodinger import (SchrodingerParams, evolve_closed_form,
                           evolve_group_closed_form, evolve_group_spectral,
@@ -245,25 +246,23 @@ def _run_transform(args, config, out):
     results = {}
     if args.group:
         G = preset(args.group)
-        F = spherical_transform_reduced(G, f)
-        spectrum = SpectralFunction(F.lambda_values, F.values, label=name)
-        if probe:
-            rng = np.random.default_rng(seed)
-            idx = _probe_frequencies(rng, F.lambda_values, probe)
-            oracle = spherical_transform_direct(G, f, F.lambda_values[idx])
-            scale = float(np.max(np.abs(F.values)))
-            results["probe_max_rel_dev"] = float(
-                np.max(np.abs(oracle.values - F.values[idx])) / scale)
+        fast = partial(spherical_transform_reduced, G)
+        oracle = partial(spherical_transform_direct, G)
+        # |phi_lambda| <= 1, so h * sum |f| phi**2 bounds every |F(lambda)|
+        weight = phi_weight(G, grid.nodes) ** 2
     else:
-        F = fourier_transform(f)
-        spectrum = F
-        if probe:
-            rng = np.random.default_rng(seed)
-            idx = _probe_frequencies(rng, F.xi_values, probe)
-            oracle = fourier_transform_direct(f, F.xi_values[idx])
-            scale = float(np.max(np.abs(F.values)))
-            results["probe_max_rel_dev"] = float(
-                np.max(np.abs(oracle.values - F.values[idx])) / scale)
+        fast, oracle, weight = fourier_transform, fourier_transform_direct, 1.0
+    spectrum = fast(f)
+    if probe:
+        rng = np.random.default_rng(seed)
+        idx = _probe_frequencies(rng, spectrum.xi_values, probe)
+        direct = oracle(f, spectrum.xi_values[idx])
+        # data whose transform vanishes (odd data on the group) is
+        # measured against the a-priori bound instead of max |F| = 0
+        scale = (float(np.max(np.abs(spectrum.values)))
+                 or float(grid.step * np.sum(np.abs(f.values) * weight)))
+        results["probe_max_rel_dev"] = float(
+            np.max(np.abs(direct.values - spectrum.values[idx])) / scale)
     io.write_spectrum_csv(out / "spectrum.csv", spectrum)
     results["n_frequencies"] = int(spectrum.xi_values.size)
     effective = {"initial": {"name": name, "params": params},
@@ -414,6 +413,14 @@ def _common_flags(sub):
                      help="seed for randomized probe selection")
 
 
+def _witness_flags(sub):
+    sub.add_argument("--alpha", type=float, default=None)
+    sub.add_argument("--eta", type=float, default=None)
+    sub.add_argument("--t0", type=float, default=None)
+    sub.add_argument("--beta-prime", type=float, default=None)
+    sub.add_argument("--theta-profile", help="theta profile name")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inghamlab",
@@ -445,21 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("counterexample",
                         help="witness pipeline with envelope verdicts")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--beta-prime", type=float, default=None)
+    _witness_flags(p)
     p.add_argument("--mode", choices=[MODE_THETA, MODE_LINEAR], default=None)
-    p.add_argument("--theta-profile", help="theta profile name")
     _common_flags(p)
 
     p = subs.add_parser("dichotomy",
                         help="full-weight envelope on nonzero data")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--beta-prime", type=float, default=None)
-    p.add_argument("--theta-profile", help="theta profile name")
+    _witness_flags(p)
     p.add_argument("--group", help="group preset")
     _common_flags(p)
 

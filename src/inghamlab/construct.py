@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelopes import EnvelopeReport, fit_nested
-from .fourier import inverse_fourier_transform
+from .fourier import inverse_fourier_transform, sin_ratio
 from .grids import Grid, SampledFunction, SpectralFunction
 from .profiles import DecayProfile, ProfileError, ProfileKind
 
@@ -135,17 +135,12 @@ def spec_from_psi(psi: DecayProfile, trunc_tol: float = TRUNCATION_TOL,
     return SincProductSpec(spec.half_widths, source_name=psi.name)
 
 
-def _sinc(x: np.ndarray) -> np.ndarray:
-    # sin(x)/x with the removable singularity filled in
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
-
-
 def evaluate_product_fourier(spec: SincProductSpec, xi) -> np.ndarray:
     """Pointwise product of sinc factors; the empty product is 1."""
     xi = np.asarray(xi, dtype=float)
     out = np.ones_like(xi)
     for a_k in spec.half_widths:
-        out = out * _sinc(a_k * xi)
+        out = out * sin_ratio(a_k * xi)
     return out
 
 

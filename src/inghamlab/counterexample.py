@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 from .envelopes import HOLDS, EnvelopeReport, fit_dyadic
 from .grids import Grid, SampledFunction
 from .groups import (GroupModel, WallSingularityError, phi0, phi_weight,
-                     sl2c)
+                     require_rank_one, sl2c)
 from .initialdata import smooth_bump
 from .profiles import DecayProfile, ProfileKind, theta_log
 from .schrodinger import SchrodingerParams, evolve_group_closed_form
@@ -67,10 +67,9 @@ class CounterexampleParams:
             raise ValueError("eta must lie in (0, 1 - alpha)")
         if not (np.isfinite(self.t0) and self.t0 > 0.0):
             raise ValueError("t0 must be a positive real")
-        beta = 1.0 - self.alpha - self.eta
         if self.beta_prime is None:
-            object.__setattr__(self, "beta_prime", 0.5 * beta)
-        if not (0.0 < self.beta_prime < beta):
+            object.__setattr__(self, "beta_prime", 0.5 * self.beta)
+        if not (0.0 < self.beta_prime < self.beta):
             raise ValueError("beta_prime must lie in (0, beta)")
 
     @property
@@ -103,8 +102,7 @@ def build_bump(beta_prime: float, beta: float, grid: Grid) -> SampledFunction:
 def build_initial_data(params: CounterexampleParams, G: GroupModel,
                        grid: Grid) -> SampledFunction:
     """Witness initial data; even, compactly supported away from 0."""
-    if G.rank != 1:
-        raise ValueError("witness construction operates on rank-one models")
+    require_rank_one(G, "witness construction")
     if grid.has_zero_node:
         raise WallSingularityError(
             "initial data divides by phi; use a half-step grid")
@@ -197,15 +195,12 @@ def compute_thresholds(params: CounterexampleParams,
                       m1_truncated=False)
 
 
-def _decay_weight(params: CounterexampleParams, mode: str,
-                  theta: DecayProfile | None, b_norms: np.ndarray) -> np.ndarray:
-    if mode == MODE_THETA:
-        if theta is None:
-            raise ValueError("theta-decay mode needs a theta profile")
-        return b_norms * theta(b_norms)
-    if mode == MODE_LINEAR:
-        return params.eta * b_norms
-    raise ValueError(f"unknown mode {mode!r}")
+def _envelope_ratio(G: GroupModel, u: SampledFunction, alpha: float,
+                    decay) -> np.ndarray:
+    """|u| * phi0^(-alpha) * exp(decay(|H|_B)) at the nodes of u's grid."""
+    H = u.grid.nodes
+    return (np.abs(u.values) * phi0(G, H) ** (-alpha)
+            * np.exp(decay(G.b_norm(H))))
 
 
 def verify_envelope(params: CounterexampleParams, G: GroupModel,
@@ -226,10 +221,10 @@ def verify_envelope(params: CounterexampleParams, G: GroupModel,
     thresholds = compute_thresholds(params, theta, u_t0.grid, mode)
     start = thresholds.window_start if window_start is None else window_start
     alpha = params.alpha if alpha_override is None else float(alpha_override)
-    H = u_t0.grid.nodes
-    b_norms = G.b_norm(H)
-    ratio = (np.abs(u_t0.values) * phi0(G, H) ** (-alpha)
-             * np.exp(_decay_weight(params, mode, theta, b_norms)))
+    if mode == MODE_LINEAR:
+        ratio = _envelope_ratio(G, u_t0, alpha, lambda b: params.eta * b)
+    else:
+        ratio = _envelope_ratio(G, u_t0, alpha, lambda b: b * theta(b))
     meta = {
         "mode": mode,
         "alpha_fit": alpha,
@@ -238,8 +233,8 @@ def verify_envelope(params: CounterexampleParams, G: GroupModel,
         "theta": None if theta is None else theta.name,
         "thresholds": thresholds.to_json_dict(),
     }
-    return fit_dyadic(H, ratio, start, n_windows=n_windows, slack=slack,
-                      meta=meta)
+    return fit_dyadic(u_t0.grid.nodes, ratio, start, n_windows=n_windows,
+                      slack=slack, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -336,12 +331,9 @@ def theorem_dichotomy_experiment(G: GroupModel, theta: DecayProfile,
     a convergent theta with matched data can satisfy it.
     """
     u = evolve_zero_safe(G, f, t0)
-    H = u.grid.nodes
-    b_norms = G.b_norm(H)
-    ratio = (np.abs(u.values) * phi0(G, H) ** (-1.0)
-             * np.exp(b_norms * theta(b_norms)))
-    report = fit_dyadic(H, ratio, window_start, n_windows=n_windows,
-                        slack=slack,
+    ratio = _envelope_ratio(G, u, 1.0, lambda b: b * theta(b))
+    report = fit_dyadic(u.grid.nodes, ratio, window_start,
+                        n_windows=n_windows, slack=slack,
                         meta={"theta": theta.name, "t0": float(t0),
                               "alpha_fit": 1.0, "source": f.label})
     return report
@@ -385,8 +377,6 @@ def run_pipeline(params: CounterexampleParams, mode: str = MODE_THETA, *,
         G = sl2c()
     if grid is None:
         grid = default_grid()
-    if mode == MODE_THETA and theta is None:
-        theta = theta_log()
     f = build_initial_data(params, G, grid)
     u = evolve_group_closed_form(G, f, SchrodingerParams(t0=params.t0))
     report = verify_envelope(params, G, u, mode, theta=theta,

@@ -71,7 +71,13 @@ def _verdict(constants: np.ndarray, slack: float) -> str:
 
 def _fit(x: np.ndarray, ratio: np.ndarray, edges, slack: float,
          meta: dict | None) -> EnvelopeReport:
+    if len(edges) < 2:
+        raise ValueError("need at least 2 windows")
     x = np.abs(np.asarray(x, dtype=float))
+    if edges[-1][1] > float(np.max(x)) * (1 + 1e-12):
+        raise WindowTooSmallError(
+            f"samples reach |x| = {np.max(x):g} but the last window "
+            f"ends at {edges[-1][1]:g}")
     ratio = np.asarray(ratio, dtype=float)
     windows = []
     for lo, hi in edges:
@@ -90,13 +96,7 @@ def fit_dyadic(x, ratio, start: float, n_windows: int = 3, slack: float = 0.10,
     """Fit constants over disjoint dyadic windows [start*2^j, start*2^(j+1))."""
     if not start > 0:
         raise ValueError("start must be positive")
-    if n_windows < 2:
-        raise ValueError("need at least 2 windows")
     edges = [(start * 2.0 ** j, start * 2.0 ** (j + 1)) for j in range(n_windows)]
-    if edges[-1][1] > float(np.max(np.abs(np.asarray(x, dtype=float)))) * (1 + 1e-12):
-        raise WindowTooSmallError(
-            f"samples reach |x| = {np.max(np.abs(x)):g} but the last window "
-            f"ends at {edges[-1][1]:g}")
     return _fit(x, ratio, edges, slack, meta)
 
 
@@ -105,11 +105,5 @@ def fit_nested(x, ratio, x0: float, n_windows: int = 3, slack: float = 0.10,
     """Fit constants over nested windows |x| <= x0 * 2^j."""
     if not x0 > 0:
         raise ValueError("x0 must be positive")
-    if n_windows < 2:
-        raise ValueError("need at least 2 windows")
     edges = [(0.0, x0 * 2.0 ** j) for j in range(n_windows)]
-    if edges[-1][1] > float(np.max(np.abs(np.asarray(x, dtype=float)))) * (1 + 1e-12):
-        raise WindowTooSmallError(
-            f"samples reach |x| = {np.max(np.abs(x)):g} but the last window "
-            f"ends at {edges[-1][1]:g}")
     return _fit(x, ratio, edges, slack, meta)

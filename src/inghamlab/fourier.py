@@ -5,9 +5,11 @@ carries the factor 1/(2 pi).  Integrals are evaluated with the periodic
 trapezoid rule on the grid (uniform weights h; for samples that decay at
 the grid boundary this coincides with the classical trapezoid rule).
 When the requested frequencies form the grid's FFT dual the sum is
-evaluated with an FFT; any other frequency set goes through chunked
-direct summation.  A plain direct-sum path is kept as an oracle for the
-fast path.
+evaluated with an FFT; any other frequency set goes through one chunked
+direct sum, which the inverse shares with the roles of nodes and
+frequencies swapped.  The same direct sum, called on its own, is the
+oracle for the FFT path.  The module also holds sin_ratio, the sin(x)/x
+that the sinc products and the spherical functions both evaluate.
 
 Aliasing bound: the quadrature error at frequency xi equals the sum of
 the true transform over the images xi + 2*pi*m/h, so samples whose
@@ -18,22 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Grid, SampledFunction, SpectralFunction
+from .grids import (Grid, SampledFunction, SpectralFunction,
+                    validated_frequencies)
 
 _CHUNK = 512
-
-
-def _xi_array(xi_grid) -> np.ndarray:
-    xi = np.asarray(xi_grid, dtype=float)
-    if xi.ndim == 0:
-        xi = xi[np.newaxis]
-    if xi.size == 0:
-        raise ValueError("xi_grid must be nonempty")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("xi_grid must be finite")
-    if xi.size > 1 and not np.all(np.diff(xi) > 0):
-        raise ValueError("xi_grid must be strictly increasing")
-    return xi
 
 
 def _is_dual(xi: np.ndarray, grid: Grid) -> bool:
@@ -42,6 +32,11 @@ def _is_dual(xi: np.ndarray, grid: Grid) -> bool:
     dual = grid.dual_frequencies()
     scale = max(1.0, float(np.max(np.abs(dual))))
     return bool(np.max(np.abs(xi - dual)) <= 1e-12 * scale)
+
+
+def sin_ratio(x) -> np.ndarray:
+    """sin(x)/x with the removable singularity at 0 filled in."""
+    return np.sinc(np.asarray(x, dtype=float) / np.pi)
 
 
 def _direct_sum(x: np.ndarray, values: np.ndarray, h: float, xi: np.ndarray,
@@ -69,7 +64,7 @@ def fourier_transform(f: SampledFunction, xi_grid=None) -> SpectralFunction:
         xi = grid.dual_frequencies()
         use_fft = True
     else:
-        xi = _xi_array(xi_grid)
+        xi = validated_frequencies(np.atleast_1d(xi_grid))
         use_fft = _is_dual(xi, grid)
     if use_fft:
         vals = np.fft.fftshift(np.fft.fft(f.values)) * h * np.exp(-1j * x0 * xi)
@@ -80,7 +75,7 @@ def fourier_transform(f: SampledFunction, xi_grid=None) -> SpectralFunction:
 
 def fourier_transform_direct(f: SampledFunction, xi_grid) -> SpectralFunction:
     """Slow direct-sum oracle for :func:`fourier_transform`."""
-    xi = _xi_array(xi_grid)
+    xi = validated_frequencies(np.atleast_1d(xi_grid))
     vals = _direct_sum(f.grid.nodes, f.values, f.grid.step, xi, -1.0)
     return SpectralFunction(xi, vals, label=f.label)
 
@@ -108,15 +103,9 @@ def inverse_fourier_transform(F: SpectralFunction, grid: Grid) -> SampledFunctio
         a = np.fft.ifftshift(F.values * np.exp(1j * x0 * xi))
         vals = np.fft.ifft(a) / grid.step
     else:
-        w = _trapezoid_weights(xi)
-        weighted = F.values * w
-        vals = np.empty(grid.n_points, dtype=complex)
-        x = grid.nodes
-        for start in range(0, x.size, _CHUNK):
-            block = x[start:start + _CHUNK]
-            phases = np.exp(1j * np.outer(block, xi))
-            vals[start:start + _CHUNK] = phases @ weighted
-        vals /= 2.0 * np.pi
+        # the forward sum with nodes and frequencies swapped; h = 1.0 is exact
+        weighted = F.values * _trapezoid_weights(xi)
+        vals = _direct_sum(xi, weighted, 1.0, grid.nodes, +1.0) / (2.0 * np.pi)
     return SampledFunction(grid, vals, label=F.label)
 
 

@@ -6,7 +6,7 @@ origin; quotients by odd weight functions stay well defined there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,11 +60,9 @@ class Grid:
         excluded with the right endpoint; reflection treats it as fixed.
         """
         n = self.nodes
-        if self.offset:
-            return bool(np.allclose(n[::-1], -n, atol=1e-12 * max(1.0, abs(self.x_max))))
-        r = np.roll(n[::-1], 1)
-        r[0] = n[0]
-        return bool(np.allclose(r[1:], -n[1:], atol=1e-12 * max(1.0, abs(self.x_max))))
+        skip = 0 if self.offset else 1
+        return bool(np.allclose(self.reflect_values(n)[skip:], -n[skip:],
+                                atol=1e-12 * max(1.0, abs(self.x_max))))
 
     @classmethod
     def symmetric(cls, radius: float, n_points: int, offset: bool = False) -> "Grid":
@@ -112,6 +110,18 @@ class SampledFunction:
         return SampledFunction(self.grid, values, self.label if label is None else label)
 
 
+def validated_frequencies(xi) -> np.ndarray:
+    """The frequency set as a nonempty, finite, strictly increasing array."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 1 or xi.size == 0:
+        raise InvalidDataError("frequency set must be a nonempty 1-D array")
+    if not np.all(np.isfinite(xi)):
+        raise InvalidDataError("frequencies must be finite")
+    if xi.size > 1 and not np.all(np.diff(xi) > 0):
+        raise InvalidDataError("frequencies must be strictly increasing")
+    return xi
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralFunction:
     """Complex samples over a strictly increasing frequency set."""
@@ -121,12 +131,6 @@ class SpectralFunction:
     label: str = ""
 
     def __post_init__(self):
-        xi = np.asarray(self.xi_values, dtype=float)
-        if xi.ndim != 1 or xi.size == 0:
-            raise InvalidDataError("frequency set must be a nonempty 1-D array")
-        if not np.all(np.isfinite(xi)):
-            raise InvalidDataError("frequencies must be finite")
-        if xi.size > 1 and not np.all(np.diff(xi) > 0):
-            raise InvalidDataError("frequencies must be strictly increasing")
+        xi = validated_frequencies(self.xi_values)
         object.__setattr__(self, "xi_values", xi)
         object.__setattr__(self, "values", _validated(self.values, xi.size))

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import fourier_transform, inverse_fourier_transform
+from .fourier import fourier_transform, inverse_fourier_transform, sin_ratio
 from .grids import Grid, SampledFunction, SpectralFunction
+from .profiles import registry_lookup
 
 
 class WallSingularityError(ValueError):
@@ -72,33 +73,13 @@ class GroupModel:
         return len(self.root_coeffs)
 
     @property
-    def multiplicity(self) -> int:
-        return 2
-
-    @property
     def rho(self) -> np.ndarray:
         # single positive root with multiplicity 2 per factor: rho = root
         return np.asarray(self.root_coeffs)
 
     @property
-    def positive_roots(self) -> list[np.ndarray]:
-        roots = []
-        for i, coeff in enumerate(self.root_coeffs):
-            vec = np.zeros(self.rank)
-            vec[i] = coeff
-            roots.append(vec)
-        return roots
-
-    @property
     def weyl_order(self) -> int:
         return 2 ** self.rank
-
-    def weyl_elements(self):
-        """(matrix, det) pairs; the group is all coordinate sign flips."""
-        for bits in range(self.weyl_order):
-            signs = np.array([1.0 if bits & (1 << i) == 0 else -1.0
-                              for i in range(self.rank)])
-            yield np.diag(signs), float(np.prod(signs))
 
     def b_norm(self, H) -> np.ndarray:
         H = np.asarray(H, dtype=float)
@@ -128,19 +109,11 @@ def sl2c_product() -> GroupModel:
 _PRESETS = {
     "sl2c": sl2c,
     "sl2c_x_sl2c": sl2c_product,
-    "sl2c×sl2c": sl2c_product,
 }
 
 
 def preset(name: str) -> GroupModel:
-    if name not in _PRESETS:
-        raise ValueError(f"unknown group preset {name!r}; known: "
-                         f"{sorted(set(_PRESETS) - {'sl2c×sl2c'})}")
-    return _PRESETS[name]()
-
-
-def _sin_ratio(x: np.ndarray) -> np.ndarray:
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
+    return registry_lookup(_PRESETS, "group preset", name)
 
 
 def _sinh_ratio(x: np.ndarray) -> np.ndarray:
@@ -167,8 +140,8 @@ def spherical_function(G: GroupModel, lam, H) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     H = np.asarray(H, dtype=float)
     if G.rank == 1:
-        return _sin_ratio(lam * H) / _sinh_ratio(G.root_coeffs[0] * H)
-    factors = _sin_ratio(lam * H) / _sinh_ratio(np.asarray(G.root_coeffs) * H)
+        return sin_ratio(lam * H) / _sinh_ratio(G.root_coeffs[0] * H)
+    factors = sin_ratio(lam * H) / _sinh_ratio(np.asarray(G.root_coeffs) * H)
     return np.prod(factors, axis=-1)
 
 
@@ -200,23 +173,12 @@ def c_inverse(G: GroupModel, lam) -> np.ndarray:
     return np.prod(lam / (1j * np.asarray(G.root_coeffs)), axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class SphericalTransform:
-    """Transform samples over a strictly increasing spectral-parameter set."""
+class SphericalTransform(SpectralFunction):
+    """Spectral samples whose frequencies are the spectral parameters lambda."""
 
-    lambda_values: np.ndarray
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambda_values, dtype=float)
-        vals = np.asarray(self.values, dtype=complex)
-        if lam.ndim != 1 or lam.size == 0 or lam.size != vals.size:
-            raise ValueError("lambda set and values must be matching 1-D arrays")
-        if lam.size > 1 and not np.all(np.diff(lam) > 0):
-            raise ValueError("lambda values must be strictly increasing")
-        object.__setattr__(self, "lambda_values", lam)
-        object.__setattr__(self, "values", vals)
+    @property
+    def lambda_values(self) -> np.ndarray:
+        return self.xi_values
 
     def weyl_invariance_defect(self) -> float:
         """max |F(-lambda) - F(lambda)| relative to max |F|.
@@ -241,7 +203,8 @@ class SphericalTransform:
         return float(np.max(defect) / scale)
 
 
-def _require_rank_one(G: GroupModel, what: str):
+def require_rank_one(G: GroupModel, what: str):
+    """Reject product models where only rank one is implemented."""
     if G.rank != 1:
         raise ValueError(f"{what} operates on rank-one models; "
                          f"got rank {G.rank}")
@@ -270,7 +233,7 @@ def symmetrize(f: SampledFunction) -> SampledFunction:
 def spherical_transform_direct(G: GroupModel, f: SampledFunction,
                                lam=None) -> SphericalTransform:
     """Weighted integral of f * phi_lambda * phi**2, the slow oracle path."""
-    _require_rank_one(G, "spherical_transform_direct")
+    require_rank_one(G, "spherical_transform_direct")
     _check_boundary(G, f)
     lam_arr = f.grid.dual_frequencies() if lam is None else np.asarray(lam, dtype=float)
     H = f.grid.nodes
@@ -292,7 +255,7 @@ def spherical_transform_reduced(G: GroupModel, f: SampledFunction,
     F(0) = |W| * rho * integral of H * g(H) dH, which the direct path
     reproduces without any limit.
     """
-    _require_rank_one(G, "spherical_transform_reduced")
+    require_rank_one(G, "spherical_transform_reduced")
     _check_boundary(G, f)
     f_sym = symmetrize(f)
     H = f.grid.nodes
@@ -317,7 +280,7 @@ def inverse_spherical(G: GroupModel, F: SphericalTransform,
     must keep its nodes off the wall H = 0 so the division by phi is
     defined.
     """
-    _require_rank_one(G, "inverse_spherical")
+    require_rank_one(G, "inverse_spherical")
     defect = F.weyl_invariance_defect()
     if defect > 1e-6:
         raise WallSingularityError(

@@ -4,6 +4,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
+from .profiles import registry_lookup
+
 
 def gaussian(center: float = 0.0, width: float = 1.0):
     if width <= 0:
@@ -97,10 +99,4 @@ INITIAL_PROFILES = {
 
 
 def profile_from_config(name: str, params: dict | None = None):
-    if name not in INITIAL_PROFILES:
-        raise ValueError(f"unknown initial profile {name!r}; known: "
-                         f"{sorted(INITIAL_PROFILES)}")
-    try:
-        return INITIAL_PROFILES[name](**(params or {}))
-    except TypeError as exc:
-        raise ValueError(f"initial profile {name!r}: {exc}") from exc
+    return registry_lookup(INITIAL_PROFILES, "initial profile", name, params)

@@ -20,18 +20,19 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_samples_csv(path, f: SampledFunction) -> None:
-    lines = ["x,re,im"]
-    for x, v in zip(f.grid.nodes, f.values):
-        lines.append(f"{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)}")
+def _write_csv(path, coord: str, points, values) -> None:
+    lines = [f"{coord},re,im"]
+    for p, v in zip(points, values):
+        lines.append(f"{_fmt(p)},{_fmt(v.real)},{_fmt(v.imag)}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_samples_csv(path, f: SampledFunction) -> None:
+    _write_csv(path, "x", f.grid.nodes, f.values)
 
 
 def write_spectrum_csv(path, F: SpectralFunction) -> None:
-    lines = ["xi,re,im"]
-    for xi, v in zip(F.xi_values, F.values):
-        lines.append(f"{_fmt(xi)},{_fmt(v.real)},{_fmt(v.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "xi", F.xi_values, F.values)
 
 
 def jsonable(obj):

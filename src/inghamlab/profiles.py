@@ -10,13 +10,15 @@ decides between the two regimes: divergence forces vanishing theorems,
 convergence admits nonzero compactly supported constructions.  Partial
 integrals are computed with an adaptive Simpson rule at relative
 tolerance 1e-8 per panel, and a dyadic-schedule classifier issues a
-clearly-labeled heuristic verdict on the full integral.
+clearly-labeled heuristic verdict on the full integral.  The module also
+holds the one lookup behind every name registry: decay profiles,
+initial profiles and group presets.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,13 +137,19 @@ PROFILES = {
 }
 
 
-def profile_from_config(name: str, params: dict | None = None) -> DecayProfile:
-    if name not in PROFILES:
-        raise ValueError(f"unknown profile {name!r}; known: {sorted(PROFILES)}")
+def registry_lookup(registry: dict, what: str, name: str,
+                    params: dict | None = None):
+    """Call the factory registered under ``name``; errors name ``what``."""
+    if name not in registry:
+        raise ValueError(f"unknown {what} {name!r}; known: {sorted(registry)}")
     try:
-        return PROFILES[name](**(params or {}))
+        return registry[name](**(params or {}))
     except TypeError as exc:
-        raise ValueError(f"profile {name!r}: {exc}") from exc
+        raise ValueError(f"{what} {name!r}: {exc}") from exc
+
+
+def profile_from_config(name: str, params: dict | None = None) -> DecayProfile:
+    return registry_lookup(PROFILES, "profile", name, params)
 
 
 def adaptive_simpson(func, a: float, b: float, rel_tol: float = 1e-8,

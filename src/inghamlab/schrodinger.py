@@ -33,7 +33,7 @@ from .fourier import fourier_transform, inverse_fourier_transform
 from .grids import Grid, SampledFunction, SpectralFunction
 from .groups import (GroupModel, SphericalTransform, WallSingularityError,
                      c_inverse, inverse_spherical, phi_weight,
-                     spherical_transform_reduced)
+                     require_rank_one, spherical_transform_reduced)
 
 
 class InvalidTimeError(ValueError):
@@ -139,8 +139,7 @@ def evolve_closed_form(f: SampledFunction,
 
 
 def _require_group_usable(G: GroupModel, params: SchrodingerParams):
-    if G.rank != 1:
-        raise ValueError("gridded group evolution operates on rank-one models")
+    require_rank_one(G, "gridded group evolution")
     if params.c != 0.0:
         raise ValueError("the model-space flow fixes the zeroth-order term "
                          "to |rho|_B^2; set c = 0")
@@ -174,8 +173,7 @@ def calibrate_group_constant(G: GroupModel, time_sign: float = 1.0) -> complex:
     per model and time direction.  The modulus lands on b/(2 sqrt(pi))
     and the phase on -sign(t) pi/4; tests pin both.
     """
-    if G.rank != 1:
-        raise ValueError("calibration operates on rank-one models")
+    require_rank_one(G, "calibration")
     sign = 1.0 if time_sign >= 0.0 else -1.0
     key = (G.name, G.root_coeffs, G.b_scales, sign)
     if key in _calibration_cache:
@@ -289,8 +287,7 @@ def pde_residual(u_minus: SampledFunction, u_mid: SampledFunction,
     elif mode == "group":
         if G is None:
             raise ValueError("group mode needs a model")
-        if G.rank != 1:
-            raise ValueError("group mode operates on rank-one models")
+        require_rank_one(G, "group mode")
         if grid.has_zero_node:
             raise WallSingularityError(
                 "group residual divides by phi; use a half-step grid")

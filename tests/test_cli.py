@@ -146,6 +146,20 @@ def test_transform_probe_agrees_with_oracle(tmp_path):
     assert (out / "spectrum.csv").exists()
 
 
+def test_group_probe_on_odd_data_uses_a_priori_scale(tmp_path):
+    # odd data has a zero Weyl average, so max |F| = 0 cannot scale the
+    # probe; the bound h * sum |f| phi**2 does instead
+    cfg = tmp_path / "odd.json"
+    cfg.write_text(json.dumps({"initial": {"name": "gaussian-hermite",
+                                           "params": {"order": 1}}}))
+    out = tmp_path / "t"
+    rc = main(["transform", "--group", "sl2c", "--config", str(cfg),
+               "--grid-points", "2048", "--probe", "8", "--out", str(out)])
+    assert rc == 0
+    dev = _manifest(out)["results"]["probe_max_rel_dev"]
+    assert isinstance(dev, float) and dev < 1e-12
+
+
 def test_group_transform_uses_half_step_grid(tmp_path):
     out = tmp_path / "t"
     rc = main(["transform", "--group", "sl2c", "--initial", "gaussian",

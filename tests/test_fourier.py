@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import inghamlab as il
@@ -81,6 +83,37 @@ def test_fft_path_matches_direct_sum(grid):
     sub = slice(0, grid.n_points, 64)
     D = il.fourier_transform_direct(f, F.xi_values[sub])
     np.testing.assert_allclose(D.values, F.values[sub], atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 96), radius=st.floats(0.5, 20.0),
+       offset=st.booleans(),
+       xi_set=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=24,
+                       unique=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_nondual_sums_match_plain_loop(n, radius, offset, xi_set, seed):
+    """Forward and inverse non-dual paths against an unchunked per-point sum."""
+    xi = np.array(sorted(xi_set))
+    assume(xi.size != n)  # a frequency set of size n could be the FFT dual
+    grid = il.Grid.symmetric(radius, n, offset=offset)
+    x, h = grid.nodes, grid.step
+    rng = np.random.default_rng(seed)
+    fv = rng.normal(size=n) + 1j * rng.normal(size=n)
+    Fv = rng.normal(size=xi.size) + 1j * rng.normal(size=xi.size)
+
+    forward = il.fourier_transform(il.SampledFunction(grid, fv), xi).values
+    expect = np.array([h * np.sum(fv * np.exp(-1j * x * k)) for k in xi])
+    assert np.max(np.abs(forward - expect)) <= 1e-10 * h * np.sum(np.abs(fv))
+
+    # trapezoid weights in xi: the distance between neighbouring midpoints
+    mids = np.concatenate(([xi[0]], 0.5 * (xi[1:] + xi[:-1]), [xi[-1]]))
+    w = np.diff(mids) if xi.size > 1 else np.ones(1)
+    inverse = il.inverse_fourier_transform(il.SpectralFunction(xi, Fv),
+                                           grid).values
+    expect = np.array([np.sum(w * Fv * np.exp(1j * xi * p)) for p in x])
+    expect /= 2.0 * np.pi
+    scale = np.sum(w * np.abs(Fv)) / (2.0 * np.pi)
+    assert np.max(np.abs(inverse - expect)) <= 1e-10 * scale
 
 
 def test_linearity(grid):
