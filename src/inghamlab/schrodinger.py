@@ -33,7 +33,8 @@ from .fourier import fourier_transform, inverse_fourier_transform
 from .grids import Grid, SampledFunction, SpectralFunction
 from .groups import (GroupModel, SphericalTransform, WallSingularityError,
                      c_inverse, inverse_spherical, phi_weight,
-                     require_rank_one, spherical_transform_reduced)
+                     require_rank_one, spherical_transform_reduced,
+                     symmetrize)
 
 
 class InvalidTimeError(ValueError):
@@ -117,9 +118,11 @@ def evolve_closed_form(f: SampledFunction,
     """Chirp-transform-chirp form of the line flow, t0 != 0.
 
     u(x) = gamma-prefactor * exp(i x^2/4t) * hhat(x/2t) with
-    h(y) = exp(i y^2/4t) f(y).  Exercises the arbitrary-frequency
-    transform path, so it is a genuine second opinion on the spectral
-    route rather than a reshuffling of the same FFT.
+    h(y) = exp(i y^2/4t) f(y).  The frequencies x/2t form a uniform set
+    that is not the FFT dual, so hhat runs on the chirp-z path of
+    :func:`inghamlab.fourier.fourier_transform`: a second opinion on the
+    spectral route rather than a reshuffling of the same FFT.  For
+    t0 < 0 the set is summed reversed, since frequency sets ascend.
     """
     if params.n != 1:
         raise ValueError("grid evolution is one dimensional")
@@ -210,9 +213,13 @@ def evolve_group_closed_form(G: GroupModel, f: SampledFunction,
                              params: SchrodingerParams) -> SampledFunction:
     """Chirp form of the model-space flow, t0 != 0.
 
-    Keeps relative accuracy out to the far nodes, where the spectral
-    path drowns in the additive noise floor of the inverse transform;
-    the decay pipelines therefore run on this path.
+    Evolves the Weyl average of f, as the spectral path does.  Keeps
+    relative accuracy out to the far nodes, where the spectral path
+    drowns in the additive noise floor of the inverse transform; the
+    decay pipelines therefore run on this path.  The transform of g_f
+    at the uniform set b^2 H / 2t runs on the chirp-z path of
+    :func:`inghamlab.fourier.fourier_transform`, whose exactly reduced
+    phases keep that accuracy; for t0 < 0 the set is summed reversed.
     """
     _require_group_usable(G, params)
     _require_nonzero_time(params)
@@ -224,7 +231,7 @@ def evolve_group_closed_form(G: GroupModel, f: SampledFunction,
     phi = phi_weight(G, H)
     b = G.b_scales[0]
     chirp = np.exp(1j * G.b_norm(H) ** 2 / (4.0 * t))
-    g_f = chirp * f.values * phi
+    g_f = chirp * symmetrize(f).values * phi
     xi = b * b * H / (2.0 * t)
     flip = t < 0.0
     ghat = fourier_transform(SampledFunction(f.grid, g_f),

@@ -160,6 +160,23 @@ def test_group_probe_on_odd_data_uses_a_priori_scale(tmp_path):
     assert isinstance(dev, float) and dev < 1e-12
 
 
+def test_group_evolve_paths_agree_on_odd_data(tmp_path):
+    # both paths evolve the Weyl average, which is zero for odd data
+    cfg = tmp_path / "odd.json"
+    cfg.write_text(json.dumps({"initial": {"name": "gaussian-hermite",
+                                           "params": {"order": 1}}}))
+    res = {}
+    for path in ("spectral", "closed"):
+        out = tmp_path / path
+        rc = main(["evolve", "--group", "sl2c", "--config", str(cfg),
+                   "--grid-points", "2048", "--t0", "0.7", "--path", path,
+                   "--out", str(out)])
+        assert rc == 0
+        res[path] = _manifest(out)["results"]
+    assert abs(res["closed"]["l2_solution"] - res["spectral"]["l2_solution"]) \
+        <= 1e-10 * res["spectral"]["l2_initial"]
+
+
 def test_group_transform_uses_half_step_grid(tmp_path):
     out = tmp_path / "t"
     rc = main(["transform", "--group", "sl2c", "--initial", "gaussian",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import inghamlab as il
+from inghamlab import fourier
 
 SMOOTH = [
     ("gaussian", lambda x: np.exp(-x ** 2)),
@@ -85,16 +86,8 @@ def test_fft_path_matches_direct_sum(grid):
     np.testing.assert_allclose(D.values, F.values[sub], atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 96), radius=st.floats(0.5, 20.0),
-       offset=st.booleans(),
-       xi_set=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=24,
-                       unique=True),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_nondual_sums_match_plain_loop(n, radius, offset, xi_set, seed):
-    """Forward and inverse non-dual paths against an unchunked per-point sum."""
-    xi = np.array(sorted(xi_set))
-    assume(xi.size != n)  # a frequency set of size n could be the FFT dual
+def _check_against_plain_loop(n, radius, offset, xi, seed):
+    """Forward and inverse non-dual sums against an unchunked per-point sum."""
     grid = il.Grid.symmetric(radius, n, offset=offset)
     x, h = grid.nodes, grid.step
     rng = np.random.default_rng(seed)
@@ -114,6 +107,69 @@ def test_nondual_sums_match_plain_loop(n, radius, offset, xi_set, seed):
     expect /= 2.0 * np.pi
     scale = np.sum(w * np.abs(Fv)) / (2.0 * np.pi)
     assert np.max(np.abs(inverse - expect)) <= 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 96), radius=st.floats(0.5, 20.0),
+       offset=st.booleans(),
+       xi_set=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=24,
+                       unique=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_nondual_sums_match_plain_loop(n, radius, offset, xi_set, seed):
+    xi = np.array(sorted(xi_set))
+    assume(xi.size != n)  # a frequency set of size n could be the FFT dual
+    _check_against_plain_loop(n, radius, offset, xi, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 96), radius=st.floats(0.5, 20.0),
+       offset=st.booleans(), m=st.integers(2, 96),
+       start=st.floats(-50.0, 50.0), spacing=st.floats(1e-3, 10.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_uniform_sums_match_plain_loop(n, radius, offset, m, start, spacing,
+                                       seed):
+    """The chirp-z path: uniform frequency sets of any start and spacing."""
+    assume(m != n)  # a frequency set of size n could be the FFT dual
+    xi = start + spacing * np.arange(m)
+    assert fourier._is_uniform(xi)
+    _check_against_plain_loop(n, radius, offset, xi, seed)
+
+
+def test_chirp_sum_runs_either_way_along_a_set():
+    x = np.linspace(-3.0, 5.0, 37)
+    xi = np.linspace(40.0, -12.0, 53)  # descending
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
+    for sign in (-1.0, 1.0):
+        got = fourier._chirp_sum(x, v, 0.25, xi, sign)
+        expect = np.array([0.25 * np.sum(v * np.exp(sign * 1j * k * x))
+                           for k in xi])
+        assert np.max(np.abs(got - expect)) <= 1e-12 * 0.25 * np.sum(np.abs(v))
+        up = fourier._chirp_sum(x, v, 0.25, xi[::-1], sign)[::-1]
+        assert np.max(np.abs(up - expect)) <= 1e-12 * 0.25 * np.sum(np.abs(v))
+
+
+def test_convolution_is_exact_on_integers():
+    # sums up to 2**43: a plain FFT convolution is off by about 1e-3 here
+    rng = np.random.default_rng(3)
+    size, n, m = 1024, 400, 625
+    a = rng.integers(-2 ** 16, 2 ** 16, (2, n))
+    k = rng.integers(-2 ** 16, 2 ** 16, (2, size))
+    got = fourier._convolve(a[0] + 1j * a[1], k[0] + 1j * k[1], m)
+    # circular convolution in exact integer arithmetic
+    lags = (np.arange(m)[:, None] - np.arange(n)[None, :]) % size
+    re = (a[0][None, :] * k[0][lags] - a[1][None, :] * k[1][lags]).sum(axis=1)
+    im = (a[0][None, :] * k[1][lags] + a[1][None, :] * k[0][lags]).sum(axis=1)
+    assert np.array_equal(got.real, re) and np.array_equal(got.imag, im)
+
+
+def test_uniformity_rule():
+    assert not fourier._is_uniform(np.array([0.3]))  # one point: direct sum
+    assert fourier._is_uniform(np.array([-1.0, 2.0]))
+    assert fourier._is_uniform(np.linspace(-7.0, 9.0, 1001))
+    bent = np.linspace(-7.0, 9.0, 1001)
+    bent[500] += 1e-9
+    assert not fourier._is_uniform(bent)
 
 
 def test_linearity(grid):
