@@ -184,19 +184,19 @@ def _run_construct(args, config, out):
     windows = _windows(config, slack_default=_CERT_SLACK_DEFAULT)
     grid = _build_grid(args, config)
     spec, psi = _spec_and_psi(profile)
-    realized = construct.realize_function(spec, grid)
-    outside, total = construct.support_mass_fractions(realized,
-                                                      spec.support_radius)
-    leak = outside / total if total > 0 else 0.0
     cert = construct.decay_certificate(spec, psi, xi0=windows["xi0"],
                                        n_windows=windows["count"],
                                        slack=windows["slack"])
-    product = SpectralFunction(grid.dual_frequencies(),
-                               construct.evaluate_product_fourier(
-                                   spec, grid.dual_frequencies()),
-                               label=name)
+    # one evaluation on the dual grid feeds both realized.csv and product.csv
+    xi = grid.dual_frequencies()
+    values = construct.evaluate_product_fourier(spec, xi)
+    realized = construct.realize_function(spec, grid, values)
+    outside, total = construct.support_mass_fractions(realized,
+                                                      spec.support_radius)
+    leak = outside / total if total > 0 else 0.0
     io.write_samples_csv(out / "realized.csv", realized)
-    io.write_spectrum_csv(out / "product.csv", product)
+    io.write_spectrum_csv(out / "product.csv",
+                          SpectralFunction(xi, values, label=name))
     io.write_json(out / "spec.json", spec.to_json_dict())
     io.write_json(out / "certificate.json", cert.to_json_dict())
     results = {

@@ -54,6 +54,7 @@ _TWO_PI_1 = 6.2831853069365025
 _TWO_PI_2 = 2.4308402025215864e-10
 _TWO_PI_3 = 8.089064995183803e-21
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's split into 26 + 27 bits
+_EPS = float(np.finfo(float).eps)  # np.sinc's stand-in for y = 0
 
 
 def _is_dual(xi: np.ndarray, grid: Grid) -> bool:
@@ -72,9 +73,25 @@ def _is_uniform(a: np.ndarray) -> bool:
     return bool(np.max(np.abs(a - ideal)) <= 1e-12 * np.max(np.abs(a)))
 
 
-def sin_ratio(x) -> np.ndarray:
-    """sin(x)/x with the removable singularity at 0 filled in."""
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
+def sin_ratio(x, out=None, *, work=None) -> np.ndarray:
+    """sin(x)/x with the removable singularity at 0 filled in.
+
+    np.sinc(x / pi) written out: y = pi * (x / pi), exact zeros of y
+    set to machine epsilon (sin(eps)/eps is exactly 1), then sin(y)/y.
+    The pi round trip does nothing mathematically but can move y by an
+    ulp, and every sinc product and spherical function so far was
+    computed through it, so it stays; written out, the bits no longer
+    depend on how a numpy version spells np.sinc.  ``out`` takes the
+    result as a ufunc's would and may be ``x``; ``work``, shaped like
+    x, receives sin(y).  With both given, only a one-byte-per-point zero
+    mask is allocated, so a loop over many factors reuses its float
+    buffers.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.divide(x, np.pi, out=np.empty_like(x) if out is None else out)
+    np.multiply(np.pi, y, out=y)
+    np.copyto(y, _EPS, where=y == 0.0)
+    return np.divide(np.sin(y, out=work), y, out=y)
 
 
 def _direct_sum(x: np.ndarray, values: np.ndarray, h: float, xi: np.ndarray,
@@ -118,6 +135,13 @@ def _leading_bits(u: np.ndarray, bits: int):
     return scale, top, u - scale * top
 
 
+def _scaled(z: np.ndarray, k: int) -> np.ndarray:
+    """z * 2**k, part by part; exact unless a part leaves the normal range."""
+    out = np.empty_like(z)
+    out.real, out.imag = np.ldexp(z.real, k), np.ldexp(z.imag, k)
+    return out
+
+
 def _convolve(a: np.ndarray, kernel: np.ndarray, m: int) -> np.ndarray:
     """First m entries of the circular convolution of a, zero padded, with kernel.
 
@@ -146,8 +170,13 @@ def _chirp_sum(x: np.ndarray, values: np.ndarray, h: float, xi: np.ndarray,
     """The sum of :func:`_direct_sum` for uniform x and xi, in O((N+M) log).
 
     Either set may run downwards; each is taken as the uniform set
-    through its end points.
+    through its end points.  Values all below 1/2 in size are summed
+    scaled up by an exact power of two: in :func:`_leading_bits` a
+    subnormal scale would turn the integer split into inf and NaN.
     """
+    e = math.frexp(float(np.max(np.abs(values))))[1]
+    if e < 0:
+        return _scaled(_chirp_sum(x, _scaled(values, -e), h, xi, sign), e)
     n, m = x.size, xi.size
     cx, dx = 0.5 * (x[0] + x[-1]), (x[-1] - x[0]) / (n - 1)
     cxi, dxi = 0.5 * (xi[0] + xi[-1]), (xi[-1] - xi[0]) / (m - 1)

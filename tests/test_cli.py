@@ -2,8 +2,10 @@
 import filecmp
 import json
 
+import numpy as np
 import pytest
 
+from inghamlab import construct
 from inghamlab.cli import main
 
 
@@ -63,6 +65,50 @@ def test_construct_runs_are_bit_identical(tmp_path):
                      "--out", str(out)]) == 0
     for name in ("realized.csv", "product.csv", "manifest.json"):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+def test_construct_evaluates_the_dual_grid_product_once(tmp_path,
+                                                         monkeypatch):
+    # one evaluation on the dual grid feeds realized.csv and product.csv,
+    # one on the certificate grid: two calls, not three
+    returned, realized_from = [], []
+    evaluate, realize = (construct.evaluate_product_fourier,
+                         construct.realize_function)
+
+    def counted(spec, xi):
+        returned.append(evaluate(spec, xi))
+        return returned[-1]
+
+    def recorded(spec, grid, product=None):
+        realized_from.append(product)
+        return realize(spec, grid, product)
+
+    monkeypatch.setattr(construct, "evaluate_product_fourier", counted)
+    monkeypatch.setattr(construct, "realize_function", recorded)
+    out = tmp_path / "run"
+    assert main(["construct", "--grid-radius", "16", "--grid-points", "4096",
+                 "--out", str(out)]) == 0
+    assert len(returned) == 2
+    dual = [v for v in returned if v.size == 4096]
+    assert len(dual) == 1 and len(realized_from) == 1
+    assert realized_from[0] is dual[0]
+    csv = np.loadtxt(out / "product.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(csv[:, 1], dual[0])
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "construct"])
+def test_ruinous_certificate_grid_is_refused(tmp_path, capsys, subcommand):
+    # 30 windows from xi0 = 64 ask for 3.4e12 points; refused up front
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"windows": {"count": 30}}))
+    out = tmp_path / "out"
+    rc = main([subcommand, "--config", str(config), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "certificate grid of 3.43597e+12 points" in err
+    assert "count 30" in err
+    assert not (out / "manifest.json").exists()
+    assert not list(out.iterdir())
 
 
 def test_verify_rejects_divergent_schedule(tmp_path, capsys):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import inghamlab as il
+from inghamlab import construct
 from inghamlab.construct import spec_from_psi, spec_from_theta
 from inghamlab.profiles import DecayProfile, ProfileKind
 
@@ -71,6 +75,41 @@ def test_single_factor_transform_is_sinc():
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
+def _plain_product(half_widths, xi):
+    """The product as a plain loop of np.sinc, one fresh array per step."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.ones_like(xi)
+    for a in half_widths:
+        out = out * np.sinc((a * xi) / np.pi)
+    return out
+
+
+_HALF_WIDTHS = st.lists(
+    st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+    max_size=40).map(lambda a: sorted(a, reverse=True))
+_XI = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2,
+                                              min_side=1, max_side=16),
+                 elements=st.floats(-1e4, 1e4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(half_widths=_HALF_WIDTHS, xi=_XI)
+@example(half_widths=[], xi=np.array(0.0))
+@example(half_widths=[2.5, 1.0, 1e-300], xi=np.array(0.0))
+@example(half_widths=[1.0, 0.5, 0.5],
+         xi=np.array([[-7.0, -0.0, 0.0], [1e-320, np.pi, 3e3]]))
+def test_product_is_bit_identical_to_plain_sinc_loop(half_widths, xi):
+    # subnormal half-widths and xi underflow a * xi to 0, where the
+    # factor must be exactly 1 as np.sinc makes it
+    spec = il.SincProductSpec(tuple(half_widths))
+    got = il.evaluate_product_fourier(spec, xi)
+    want = np.asarray(_plain_product(spec.half_widths, xi))
+    assert got.shape == np.shape(xi)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if not half_widths:
+        assert np.all(got == 1.0)
+
+
 def test_two_factor_convolution_oracle():
     # indicators of half-widths 1 and 1/2 convolve to a plateau of height
     # 1/2 on |x| <= 1/2 with linear ramps reaching 0 at |x| = 3/2
@@ -126,6 +165,25 @@ def test_certificate_fails_for_overclaimed_decay():
     cert = il.decay_certificate(spec, il.PROFILES["psi_linear"](slope=0.5))
     assert cert.verdict == il.FAILS
     assert cert.growth_factor > 10.0
+
+
+def test_certificate_refuses_a_grid_past_the_cap(monkeypatch):
+    # 30 windows from xi0 = 64 would need some 3.4e12 points (25 TiB);
+    # the refusal must come before the product is evaluated
+    def never(*args):
+        raise AssertionError("product evaluated before the refusal")
+
+    monkeypatch.setattr(construct, "evaluate_product_fourier", never)
+    spec = spec_from_theta(il.theta_log_sq())
+    psi = il.psi_from_theta(il.theta_log_sq())
+    with pytest.raises(ValueError, match=r"3\.43597e\+12 points \(xi0 64, "
+                       r"count 30, dxi 0\.01\) exceeds the cap of 4194304"):
+        il.decay_certificate(spec, psi, n_windows=30)
+    # the smallest refused count at xi0 = 64; 10 windows take 3,276,801
+    with pytest.raises(ValueError, match="6.5536e[+]06 points"):
+        il.decay_certificate(spec, psi, n_windows=11)
+    with pytest.raises(ValueError, match="inf points"):
+        il.decay_certificate(spec, psi, n_windows=2000)
 
 
 def test_spec_json_dict():
