@@ -8,11 +8,15 @@ the half-width sum converges exactly when the theta integral does, the
 realized function is supported in [-sum a_k, sum a_k], and its transform
 obeys the envelope exp(-psi/2) with the declared slack 1/2 on windows a
 certificate can check.
+
+The product is evaluated as its few large factors times the exponential
+of a short series for the rest (see evaluate_product_fourier), since
+schedules that reach the 1023-term cap have mostly tiny factors.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,8 +28,22 @@ from .profiles import DecayProfile, ProfileError, ProfileKind
 TRUNCATION_TOL = 1e-8
 _MAX_TERMS = 1023  # last k with 2.0**k finite in float64
 _BLOCK_RATIO_MAX = 0.8
-# certificate grid cap: about 235 MB across the product's three buffers,
-# xi, psi and the ratio
+# evaluate_product_fourier sums the log-series for the factors with
+# a_k * max|xi| up to this and multiplies in the others one by one
+_TAIL_MAX = 0.5
+# c_n = -zeta(2n) / (n pi^(2n)), n = 1..16: log(sin(x)/x) =
+# sum_n c_n x^(2n) for |x| < pi; literals, so importing computes nothing
+_LOG_SINC_SERIES = (
+    -0.16666666666666666, -0.005555555555555556, -0.0003527336860670194,
+    -2.6455026455026456e-05, -2.1377799155576935e-06,
+    -1.803670234005331e-07, -1.5661391322766983e-08,
+    -1.3884130493737299e-09, -1.2504359176004997e-10,
+    -1.1402575602296091e-11, -1.0502923908637557e-12,
+    -9.754877841593701e-14, -9.123468230859098e-15,
+    -8.5837197618956095e-16, -8.117318009727789e-17,
+    -7.710527514116273e-18)
+# certificate grid cap: at most xi and the product's three buffers (and
+# its one-byte zero mask) are alive at once, about 140 MB at the cap
 _MAX_CERTIFICATE_POINTS = 2 ** 22
 
 
@@ -39,10 +57,17 @@ class GridTooSmallError(ValueError):
 
 @dataclass(frozen=True)
 class SincProductSpec:
-    """Finite schedule of positive, nonincreasing sinc half-widths."""
+    """Finite schedule of positive, nonincreasing sinc half-widths.
+
+    ``stopped_by`` says how a derived schedule ended: "tolerance" when a
+    half-width fell below the truncation threshold, "term cap" when the
+    schedule ran to its last allowed term; None for a schedule given
+    directly.
+    """
 
     half_widths: tuple
     source_name: str = ""
+    stopped_by: str | None = None
 
     def __post_init__(self):
         a = np.asarray(self.half_widths, dtype=float)
@@ -68,6 +93,7 @@ class SincProductSpec:
     def to_json_dict(self) -> dict:
         return {"half_widths": list(self.half_widths),
                 "source": self.source_name,
+                "stopped_by": self.stopped_by,
                 "support_radius": self.support_radius}
 
 
@@ -94,7 +120,8 @@ def spec_from_theta(theta: DecayProfile, trunc_tol: float = TRUNCATION_TOL,
     that are numerically the identity on any usable window, so the
     schedule stops there.  A schedule that never reaches the threshold
     must show geometrically decaying dyadic block sums; otherwise the
-    half-width series is treated as divergent and rejected.
+    half-width series is treated as divergent and rejected.  The spec's
+    ``stopped_by`` records which of the two ended the schedule.
     """
     if theta.kind is not ProfileKind.THETA_DECREASING:
         raise ValueError("spec_from_theta requires a theta-kind profile")
@@ -115,7 +142,8 @@ def spec_from_theta(theta: DecayProfile, trunc_tol: float = TRUNCATION_TOL,
         raise DivergentProfileError(
             f"{theta.name}: partial sums of theta(2**k) fail the convergence "
             f"test after {len(half_widths)} terms (sum so far {np.sum(a):.3g})")
-    return SincProductSpec(tuple(half_widths), source_name=theta.name)
+    return SincProductSpec(tuple(half_widths), source_name=theta.name,
+                           stopped_by="tolerance" if truncated else "term cap")
 
 
 def spec_from_psi(psi: DecayProfile, trunc_tol: float = TRUNCATION_TOL,
@@ -136,26 +164,56 @@ def spec_from_psi(psi: DecayProfile, trunc_tol: float = TRUNCATION_TOL,
     derived = DecayProfile(f"theta[{psi.name}]", ProfileKind.THETA_DECREASING,
                            quotient, validate=False)
     spec = spec_from_theta(derived, trunc_tol=trunc_tol, max_terms=max_terms)
-    return SincProductSpec(spec.half_widths, source_name=psi.name)
+    return replace(spec, source_name=psi.name)
 
 
 def evaluate_product_fourier(spec: SincProductSpec, xi) -> np.ndarray:
     """Pointwise product of sinc factors; the empty product is 1.
 
-    A schedule that never reaches the truncation threshold has 1023
-    factors, and a fresh array for each of the half-dozen steps of every
-    factor took more than half the time, so the loop reuses three
-    buffers of xi's shape allocated once per call.  Each factor is still
-    rounded as in out = out * sin_ratio(a_k * xi), pi round trip
-    included, so the values match that plain loop bit for bit.
+    The split depends on m = max|xi| of the call.  The head, the factors
+    with a_k * m > _TAIL_MAX, holds every factor that can change sign.
+    Its factors are multiplied in one by one, each rounded as in
+    out = out * sin_ratio(a_k * xi), pi round trip included, and where
+    the head is the whole schedule the values match that plain loop bit
+    for bit.  Every other factor has |a_k xi| <= _TAIL_MAX < pi, and
+    the tail's product is exp(sum_n c_n T_n u^n), with u = (xi/m)^2,
+    T_n = sum over the tail of (a_k m)^(2n), computed once per call, and
+    c_n the coefficients of the series of log(sin(x)/x), evaluated by
+    Horner in u.  Each term of the series is at most (_TAIL_MAX/pi)^2 of
+    the one before, so the first dropped term, below 2e-28 * T_1, bounds
+    the truncation; what is left is the rounding of a few operations per
+    point, where the plain loop rounds once per factor (1023 times on a
+    schedule that stops at the term cap).  The same xi inside arrays of
+    different max|xi| may therefore differ in the last bits.  u is
+    exactly even in xi, and so is the product.  The whole call works in
+    three buffers of xi's shape.
     """
     xi = np.asarray(xi, dtype=float)
     out = np.ones_like(xi)
     factor, work = np.empty_like(xi), np.empty_like(xi)
-    for a_k in spec.half_widths:
+    m = float(np.abs(xi, out=factor).max(initial=0.0))
+    if m == 0.0:
+        return out
+    a = np.asarray(spec.half_widths)
+    head = a * m > _TAIL_MAX
+    for a_k in a[head]:
         np.multiply(a_k, xi, out=factor)
         sin_ratio(factor, out=factor, work=work)
         np.multiply(out, factor, out=out)
+    t = (a[~head] * m) ** 2
+    if t.size:
+        power, terms = np.ones_like(t), []
+        for c_n in _LOG_SINC_SERIES:
+            power *= t
+            terms.append(c_n * float(np.sum(power)))
+        u = np.divide(xi, m, out=factor)
+        np.multiply(u, u, out=u)
+        work.fill(terms.pop())
+        for term in reversed(terms):
+            np.multiply(work, u, out=work)
+            np.add(work, term, out=work)
+        np.multiply(work, u, out=work)
+        np.multiply(out, np.exp(work, out=work), out=out)
     return out
 
 

@@ -79,13 +79,13 @@ def sin_ratio(x, out=None, *, work=None) -> np.ndarray:
     np.sinc(x / pi) written out: y = pi * (x / pi), exact zeros of y
     set to machine epsilon (sin(eps)/eps is exactly 1), then sin(y)/y.
     The pi round trip does nothing mathematically but can move y by an
-    ulp, and every sinc product and spherical function so far was
-    computed through it, so it stays; written out, the bits no longer
-    depend on how a numpy version spells np.sinc.  ``out`` takes the
-    result as a ufunc's would and may be ``x``; ``work``, shaped like
-    x, receives sin(y).  With both given, only a one-byte-per-point zero
-    mask is allocated, so a loop over many factors reuses its float
-    buffers.
+    ulp, and the spherical functions and the large factors of the sinc
+    products (the rest go through a series) have always been computed
+    through it, so it stays; written out, the bits no longer depend on
+    how a numpy version spells np.sinc.  ``out`` takes the result as a
+    ufunc's would and may be ``x``; ``work``, shaped like x, receives
+    sin(y).  With both given, only a one-byte-per-point zero mask is
+    allocated, so a loop over many factors reuses its float buffers.
     """
     x = np.asarray(x, dtype=float)
     y = np.divide(x, np.pi, out=np.empty_like(x) if out is None else out)

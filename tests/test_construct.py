@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -92,22 +95,81 @@ _XI = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2,
                  elements=st.floats(-1e4, 1e4))
 
 
+# the kernel against the plain loop where factors reach the series tail:
+# the loop rounds once per factor, the kernel a few times in all
+_TAIL_ULPS = 4
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
+
+
 @settings(max_examples=200, deadline=None)
 @given(half_widths=_HALF_WIDTHS, xi=_XI)
 @example(half_widths=[], xi=np.array(0.0))
 @example(half_widths=[2.5, 1.0, 1e-300], xi=np.array(0.0))
 @example(half_widths=[1.0, 0.5, 0.5],
          xi=np.array([[-7.0, -0.0, 0.0], [1e-320, np.pi, 3e3]]))
-def test_product_is_bit_identical_to_plain_sinc_loop(half_widths, xi):
+def test_product_matches_plain_sinc_loop(half_widths, xi):
     # subnormal half-widths and xi underflow a * xi to 0, where the
     # factor must be exactly 1 as np.sinc makes it
     spec = il.SincProductSpec(tuple(half_widths))
     got = il.evaluate_product_fourier(spec, xi)
     want = np.asarray(_plain_product(spec.half_widths, xi))
     assert got.shape == np.shape(xi)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    m = np.max(np.abs(xi))
+    if m == 0.0 or np.all(np.array(half_widths) * m > construct._TAIL_MAX):
+        # no factor in the tail: the head loop is the plain loop
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    else:
+        bound = _TAIL_ULPS * spec.n_factors * (_EPS * np.abs(want) + _TINY)
+        assert np.all(np.abs(got - want) <= bound)
     if not half_widths:
         assert np.all(got == 1.0)
+    # exact evenness: one call on xi and -xi together
+    both = il.evaluate_product_fourier(spec, np.stack([xi, -xi]))
+    assert np.array_equal(both[0].view(np.int64), both[1].view(np.int64))
+
+
+def test_product_tail_is_closer_to_exact_product_than_plain_loop():
+    mpmath = pytest.importorskip("mpmath")
+    spec = spec_from_theta(il.theta_log_sq())
+    assert spec.n_factors == 1023
+    xi = np.linspace(0.37, 256.0, 16)
+    got = il.evaluate_product_fourier(spec, xi)
+    loop = _plain_product(spec.half_widths, xi)
+    with mpmath.workdps(30):
+        exact = []
+        for x in xi:
+            p = mpmath.mpf(1)
+            for a in spec.half_widths:
+                y = mpmath.mpf(a) * mpmath.mpf(x)
+                p *= mpmath.sin(y) / y
+            exact.append(float(p))
+    exact = np.array(exact)
+    assert np.max(np.abs(got - exact)) <= np.max(np.abs(loop - exact))
+
+
+def _bernoulli(n):
+    """B_0..B_n as exact fractions, from sum_k C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m))
+                 / Fraction(m + 1))
+    return b
+
+
+def test_log_sinc_series_literals_are_the_rounded_exact_coefficients():
+    # c_n = -zeta(2n)/(n pi^(2n)) = -2^(2n-1) |B_2n| / (n (2n)!)
+    series = construct._LOG_SINC_SERIES
+    b = _bernoulli(2 * len(series) + 2)
+    exact = [-Fraction(2 ** (2 * n - 1)) * abs(b[2 * n])
+             / (n * math.factorial(2 * n)) for n in range(1, len(series) + 2)]
+    assert exact[:4] == [Fraction(-1, 6), Fraction(-1, 180),
+                         Fraction(-1, 2835), Fraction(-1, 37800)]
+    assert series == tuple(float(c) for c in exact[:-1])
+    # the first dropped term, at a_k * max|xi| <= _TAIL_MAX, stays
+    # below 2e-28 of T_1 = sum over the tail of (a_k * max|xi|)^2
+    tau = Fraction(construct._TAIL_MAX)
+    assert abs(exact[-1]) * tau ** (2 * len(series)) < Fraction(2, 10 ** 28)
 
 
 def test_two_factor_convolution_oracle():
@@ -191,6 +253,10 @@ def test_spec_json_dict():
     blob = spec.to_json_dict()
     assert len(blob["half_widths"]) == spec.n_factors
     assert blob["support_radius"] == pytest.approx(spec.support_radius)
+    # theta_log_sq never falls below TRUNCATION_TOL: the 1023-term cap ends it
+    assert blob["stopped_by"] == "term cap"
+    psi = il.PROFILES["psi_power"](exponent=0.6)
+    assert spec_from_psi(psi).to_json_dict()["stopped_by"] == "tolerance"
 
 
 def test_spec_validation():
