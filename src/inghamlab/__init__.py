@@ -27,7 +27,7 @@ from .grids import Grid, InvalidDataError, SampledFunction, SpectralFunction
 from .groups import (BoundaryLeakError, GroupModel, SphericalTransform,
                      WallSingularityError, c_function, c_inverse,
                      inverse_spherical, phi0, phi_weight, preset,
-                     sl2c, sl2c_product, spherical_function,
+                     sl2c, spherical_function,
                      spherical_transform_direct,
                      spherical_transform_reduced, symmetrize)
 from .initialdata import INITIAL_PROFILES, gaussian, smooth_bump
@@ -63,7 +63,7 @@ __all__ = [
     "inverse_spherical", "kernel_gamma", "l2_norm", "pde_residual", "phi0",
     "phi_weight", "preset", "profile_from_config", "psi_from_theta",
     "psi_linear", "psi_log_damped", "psi_power", "psi_zero",
-    "realize_function", "run_pipeline", "sl2c", "sl2c_product",
+    "realize_function", "run_pipeline", "sl2c",
     "smooth_bump", "spec_from_psi", "spec_from_theta", "spectral_l2_norm",
     "spherical_function", "spherical_transform_direct",
     "spherical_transform_reduced", "support_mass_fractions", "symmetrize",

@@ -384,10 +384,10 @@ def _run_classify(args, config, out):
     diagnostics = profiles.classify_integral(profile)
     io.write_json(out / "classification.json", diagnostics.to_json_dict())
     results = {"verdict": diagnostics.verdict,
-               "tail_exponent": diagnostics.tail_exponent}
+               "stopped_by": diagnostics.stopped_by}
     effective = {"profile": {"name": name, "params": params}}
     print(f"[classify] {name}: {diagnostics.verdict} "
-          f"(tail exponent {diagnostics.tail_exponent:.3f})")
+          f"(stopped by {diagnostics.stopped_by})")
     return results, effective, ["classification.json"], None
 
 
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", help="group preset")
     _common_flags(p)
 
-    p = subs.add_parser("classify", help="integral growth diagnostics")
+    p = subs.add_parser("classify", help="dyadic convergence test")
     p.add_argument("--profile", help="decay profile name")
     _common_flags(p)
 

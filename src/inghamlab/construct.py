@@ -4,9 +4,10 @@ The construction multiplies normalized sinc factors sin(a_k xi)/(a_k xi)
 on the transform side, which is an infinite convolution of scaled
 indicator bumps on the function side.  With half-widths a_k drawn from a
 decreasing modulation theta on the dyadic schedule a_k = theta(2**k),
-the half-width sum converges exactly when the theta integral does, the
-realized function is supported in [-sum a_k, sum a_k], and its transform
-obeys the envelope exp(-psi/2) with the declared slack 1/2 on windows a
+the half-width sum converges exactly when the theta integral does (the
+dyadic test of :mod:`inghamlab.profiles` decides which), the realized
+function is supported in [-sum a_k, sum a_k], and its transform obeys
+the envelope exp(-psi/2) with the declared slack 1/2 on windows a
 certificate can check.
 
 The product is evaluated as its few large factors times the exponential
@@ -23,11 +24,8 @@ import numpy as np
 from .envelopes import EnvelopeReport, fit_nested
 from .fourier import inverse_fourier_transform, sin_ratio
 from .grids import Grid, SampledFunction, SpectralFunction
-from .profiles import DecayProfile, ProfileError, ProfileKind
+from .profiles import DecayProfile, dyadic_series, theta_from_psi
 
-TRUNCATION_TOL = 1e-8
-_MAX_TERMS = 1023  # last k with 2.0**k finite in float64
-_BLOCK_RATIO_MAX = 0.8
 # evaluate_product_fourier sums the log-series for the factors with
 # a_k * max|xi| up to this and multiplies in the others one by one
 _TAIL_MAX = 0.5
@@ -97,73 +95,28 @@ class SincProductSpec:
                 "support_radius": self.support_radius}
 
 
-def _block_sums_converge(a: np.ndarray) -> bool:
-    # partial sums over dyadic index blocks; geometric decay of the block
-    # sums is the Cauchy signature of a convergent schedule
-    sums = []
-    j = 0
-    while 2 ** (j + 1) <= a.size:
-        sums.append(float(np.sum(a[2 ** j:2 ** (j + 1)])))
-        j += 1
-    if len(sums) < 5:
-        return False
-    tail = sums[-4:]
-    ratios = [tail[i + 1] / tail[i] if tail[i] > 0 else 0.0 for i in range(3)]
-    return all(r <= _BLOCK_RATIO_MAX for r in ratios)
+def spec_from_theta(theta: DecayProfile) -> SincProductSpec:
+    """Half-width schedule a_k = theta(2**k), the terms of the dyadic test.
 
-
-def spec_from_theta(theta: DecayProfile, trunc_tol: float = TRUNCATION_TOL,
-                    max_terms: int = _MAX_TERMS) -> SincProductSpec:
-    """Half-width schedule a_k = theta(2**k), truncated below ``trunc_tol``.
-
-    Terms below the truncation threshold multiply the product by factors
-    that are numerically the identity on any usable window, so the
-    schedule stops there.  A schedule that never reaches the threshold
-    must show geometrically decaying dyadic block sums; otherwise the
-    half-width series is treated as divergent and rejected.  The spec's
-    ``stopped_by`` records which of the two ended the schedule.
+    The schedule stops where a term falls below the truncation
+    tolerance, since smaller factors are numerically the identity on any
+    usable window, or at the term cap.  A theta that fails the test of
+    :func:`inghamlab.profiles.dyadic_series` is divergent and refused;
+    the spec's ``stopped_by`` records how the schedule ended.
     """
-    if theta.kind is not ProfileKind.THETA_DECREASING:
-        raise ValueError("spec_from_theta requires a theta-kind profile")
-    half_widths = []
-    truncated = False
-    for k in range(1, max_terms + 1):
-        a_k = float(theta(2.0 ** k))
-        if not np.isfinite(a_k) or a_k < 0:
-            raise ProfileError(f"{theta.name}: invalid half-width at k={k}")
-        if a_k < trunc_tol:
-            truncated = True
-            break
-        if half_widths and a_k > half_widths[-1] * (1 + 1e-12):
-            raise ProfileError(f"{theta.name}: half-widths increase at k={k}")
-        half_widths.append(a_k)
-    a = np.asarray(half_widths)
-    if not truncated and not _block_sums_converge(a):
+    series = dyadic_series(theta)
+    if not series.converges:
         raise DivergentProfileError(
             f"{theta.name}: partial sums of theta(2**k) fail the convergence "
-            f"test after {len(half_widths)} terms (sum so far {np.sum(a):.3g})")
-    return SincProductSpec(tuple(half_widths), source_name=theta.name,
-                           stopped_by="tolerance" if truncated else "term cap")
+            f"test after {len(series.terms)} terms, stopped by "
+            f"{series.stopped_by} (sum so far {np.sum(series.terms):.3g})")
+    return SincProductSpec(series.terms, source_name=theta.name,
+                           stopped_by=series.stopped_by)
 
 
-def spec_from_psi(psi: DecayProfile, trunc_tol: float = TRUNCATION_TOL,
-                  max_terms: int = _MAX_TERMS) -> SincProductSpec:
-    """Schedule derived from a nondecreasing envelope via theta(r) = psi(r)/r.
-
-    The quotient is clamped at r = 1 so the derived modulation is defined
-    down to 0; admissibility is enforced by the schedule itself rather
-    than by profile validation.
-    """
-    if psi.kind is not ProfileKind.PSI_NONDECREASING:
-        raise ValueError("spec_from_psi requires a psi-kind profile")
-
-    def quotient(r):
-        rr = np.maximum(np.asarray(r, dtype=float), 1.0)
-        return np.asarray(psi(rr), dtype=float) / rr
-
-    derived = DecayProfile(f"theta[{psi.name}]", ProfileKind.THETA_DECREASING,
-                           quotient, validate=False)
-    spec = spec_from_theta(derived, trunc_tol=trunc_tol, max_terms=max_terms)
+def spec_from_psi(psi: DecayProfile) -> SincProductSpec:
+    """Schedule derived from a nondecreasing envelope, theta(r) = psi(r)/r."""
+    spec = spec_from_theta(theta_from_psi(psi))
     return replace(spec, source_name=psi.name)
 
 

@@ -29,8 +29,7 @@ from scipy.optimize import brentq
 
 from .envelopes import HOLDS, EnvelopeReport, fit_dyadic
 from .grids import Grid, SampledFunction
-from .groups import (GroupModel, WallSingularityError, phi0, phi_weight,
-                     require_rank_one, sl2c)
+from .groups import GroupModel, WallSingularityError, phi0, phi_weight, sl2c
 from .initialdata import smooth_bump
 from .profiles import DecayProfile, ProfileKind, theta_log
 from .schrodinger import SchrodingerParams, evolve_group_closed_form
@@ -102,7 +101,6 @@ def build_bump(beta_prime: float, beta: float, grid: Grid) -> SampledFunction:
 def build_initial_data(params: CounterexampleParams, G: GroupModel,
                        grid: Grid) -> SampledFunction:
     """Witness initial data; even, compactly supported away from 0."""
-    require_rank_one(G, "witness construction")
     if grid.has_zero_node:
         raise WallSingularityError(
             "initial data divides by phi; use a half-step grid")

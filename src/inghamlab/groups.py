@@ -1,19 +1,19 @@
 """Rank-one symmetric-space model and its spherical transform.
 
-The model is the radial picture of a complex semisimple group: an
-abelian slice with coordinates H, a Weyl group of sign flips, and a
+The model is the radial picture of a complex rank-one group such as
+SL(2, C): a line of coordinates H, the Weyl group {1, -1}, and a
 density weight
 
-    phi(H) = sum over Weyl elements of det(s) * exp(s rho(H)),
+    phi(H) = exp(rho H) - exp(-rho H) = 2 sinh(rho H),
 
-which for the concrete rank-one instance is 2 sinh(2H); the invariant
-volume density is phi**2.  Spherical functions come out in closed form,
+which for sl2c is 2 sinh(2H); the invariant volume density is phi**2.
+Spherical functions come out in closed form,
 
-    phi_lambda(H) = prod_i rho_i sin(lambda_i H_i) / (lambda_i sinh(rho_i H_i)),
+    phi_lambda(H) = rho sin(lambda H) / (lambda sinh(rho H)),
 
 normalized to phi_lambda(0) = 1, which pins every constant downstream.
-Norms are measured in the invariant bilinear form: |H|_B = 4|H| per
-rank-one factor, with the dual norm |lambda|_B = |lambda|/4.
+Norms are measured in the invariant bilinear form: |H|_B = b|H|, with
+the dual norm |lambda|_B = |lambda|/b, and b = 4 for sl2c.
 
 The spherical transform of a Weyl-invariant profile f reduces to a
 Euclidean transform of g = f * phi:
@@ -21,9 +21,7 @@ Euclidean transform of g = f * phi:
     F(lambda) = c(lambda) * |W| * g_hat(lambda),      c(lambda) = i rho / lambda,
 
 and the two evaluation paths (direct weighted integral versus the
-reduction) are kept side by side so each can audit the other.  Gridded
-transforms operate on rank-one models; the pointwise model functions
-support direct products of rank-one factors as well.
+reduction) are kept side by side so each can audit the other.
 """
 from __future__ import annotations
 
@@ -49,67 +47,37 @@ _BOUNDARY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GroupModel:
-    """Direct product of complex rank-one factors.
+    """Complex rank-one model: one positive root, one form scale.
 
-    Per factor: one positive root with coefficient ``root`` (the root
-    acts as H -> root * H), multiplicity 2, so rho carries the same
-    coefficient; the invariant form scales as |H|_B = b * |H|.
+    The root acts as H -> root * H with multiplicity 2, so rho carries
+    the same coefficient; the invariant form scales as |H|_B = b * |H|.
+    The Weyl group is {1, -1}.
     """
 
     name: str
-    root_coeffs: tuple
-    b_scales: tuple
+    root: float
+    b: float
 
-    def __post_init__(self):
-        if len(self.root_coeffs) != len(self.b_scales) or not self.root_coeffs:
-            raise ValueError("need one root and one scale per factor")
-        object.__setattr__(self, "root_coeffs",
-                           tuple(float(v) for v in self.root_coeffs))
-        object.__setattr__(self, "b_scales",
-                           tuple(float(v) for v in self.b_scales))
-
-    @property
-    def rank(self) -> int:
-        return len(self.root_coeffs)
-
-    @property
-    def rho(self) -> np.ndarray:
-        # single positive root with multiplicity 2 per factor: rho = root
-        return np.asarray(self.root_coeffs)
-
-    @property
-    def weyl_order(self) -> int:
-        return 2 ** self.rank
+    weyl_order = 2
 
     def b_norm(self, H) -> np.ndarray:
-        H = np.asarray(H, dtype=float)
-        if self.rank == 1:
-            return self.b_scales[0] * np.abs(H)
-        return np.sqrt(np.sum((np.asarray(self.b_scales) * H) ** 2, axis=-1))
+        return self.b * np.abs(np.asarray(H, dtype=float))
 
     def b_norm_dual(self, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float)
-        if self.rank == 1:
-            return np.abs(lam) / self.b_scales[0]
-        return np.sqrt(np.sum((lam / np.asarray(self.b_scales)) ** 2, axis=-1))
+        return np.abs(np.asarray(lam, dtype=float)) / self.b
 
     @property
     def rho_b_norm_sq(self) -> float:
-        return float(np.sum((self.rho / np.asarray(self.b_scales)) ** 2))
+        # rho = root for one root of multiplicity 2
+        ratio = self.root / self.b
+        return ratio * ratio
 
 
 def sl2c() -> GroupModel:
-    return GroupModel("sl2c", (2.0,), (4.0,))
+    return GroupModel("sl2c", 2.0, 4.0)
 
 
-def sl2c_product() -> GroupModel:
-    return GroupModel("sl2c_x_sl2c", (2.0, 2.0), (4.0, 4.0))
-
-
-_PRESETS = {
-    "sl2c": sl2c,
-    "sl2c_x_sl2c": sl2c_product,
-}
+_PRESETS = {"sl2c": sl2c}
 
 
 def preset(name: str) -> GroupModel:
@@ -124,53 +92,37 @@ def _sinh_ratio(x: np.ndarray) -> np.ndarray:
 
 
 def phi_weight(G: GroupModel, H) -> np.ndarray:
-    """Weyl-alternating density weight; 2 sinh(2H) per rank-one factor."""
-    H = np.asarray(H, dtype=float)
-    if G.rank == 1:
-        return 2.0 * np.sinh(G.root_coeffs[0] * H)
-    return np.prod(2.0 * np.sinh(np.asarray(G.root_coeffs) * H), axis=-1)
+    """Weyl-alternating density weight 2 sinh(root * H)."""
+    return 2.0 * np.sinh(G.root * np.asarray(H, dtype=float))
 
 
 def spherical_function(G: GroupModel, lam, H) -> np.ndarray:
-    """phi_lambda(H) with the normalization phi_lambda(0) = 1.
-
-    Inputs broadcast; for product models the last axis of ``lam`` and
-    ``H`` indexes the factors.
-    """
+    """phi_lambda(H), normalized to phi_lambda(0) = 1; inputs broadcast."""
     lam = np.asarray(lam, dtype=float)
     H = np.asarray(H, dtype=float)
-    if G.rank == 1:
-        return sin_ratio(lam * H) / _sinh_ratio(G.root_coeffs[0] * H)
-    factors = sin_ratio(lam * H) / _sinh_ratio(np.asarray(G.root_coeffs) * H)
-    return np.prod(factors, axis=-1)
+    return sin_ratio(lam * H) / _sinh_ratio(G.root * H)
 
 
 def phi0(G: GroupModel, H) -> np.ndarray:
     """Basic spherical function, the lambda -> 0 limit of phi_lambda."""
-    zero = np.zeros(G.rank) if G.rank > 1 else 0.0
-    return spherical_function(G, zero, H)
+    return spherical_function(G, 0.0, H)
 
 
 def c_function(G: GroupModel, lam) -> np.ndarray:
-    """Plancherel-normalizing factor prod_i i*rho_i/lambda_i.
+    """Plancherel-normalizing factor i*rho/lambda.
 
-    Singular on the Weyl walls; callers needing the wall value use the
+    Singular on the Weyl wall; callers needing the wall value use the
     limit built into the reduced transform instead.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam == 0.0):
         raise WallSingularityError("c-function pole: lambda on a Weyl wall")
-    if G.rank == 1:
-        return 1j * G.root_coeffs[0] / lam
-    return np.prod(1j * np.asarray(G.root_coeffs) / lam, axis=-1)
+    return 1j * G.root / lam
 
 
 def c_inverse(G: GroupModel, lam) -> np.ndarray:
-    """1/c(lambda) = prod_i lambda_i/(i rho_i); polynomial, no poles."""
-    lam = np.asarray(lam, dtype=float)
-    if G.rank == 1:
-        return lam / (1j * G.root_coeffs[0])
-    return np.prod(lam / (1j * np.asarray(G.root_coeffs)), axis=-1)
+    """1/c(lambda) = lambda/(i rho); polynomial, no poles."""
+    return np.asarray(lam, dtype=float) / (1j * G.root)
 
 
 class SphericalTransform(SpectralFunction):
@@ -203,13 +155,6 @@ class SphericalTransform(SpectralFunction):
         return float(np.max(defect) / scale)
 
 
-def require_rank_one(G: GroupModel, what: str):
-    """Reject product models where only rank one is implemented."""
-    if G.rank != 1:
-        raise ValueError(f"{what} operates on rank-one models; "
-                         f"got rank {G.rank}")
-
-
 def _check_boundary(G: GroupModel, f: SampledFunction):
     weighted = np.abs(f.values * phi_weight(G, f.grid.nodes) ** 2)
     peak = float(np.max(weighted))
@@ -233,7 +178,6 @@ def symmetrize(f: SampledFunction) -> SampledFunction:
 def spherical_transform_direct(G: GroupModel, f: SampledFunction,
                                lam=None) -> SphericalTransform:
     """Weighted integral of f * phi_lambda * phi**2, the slow oracle path."""
-    require_rank_one(G, "spherical_transform_direct")
     _check_boundary(G, f)
     lam_arr = f.grid.dual_frequencies() if lam is None else np.asarray(lam, dtype=float)
     H = f.grid.nodes
@@ -255,7 +199,6 @@ def spherical_transform_reduced(G: GroupModel, f: SampledFunction,
     F(0) = |W| * rho * integral of H * g(H) dH, which the direct path
     reproduces without any limit.
     """
-    require_rank_one(G, "spherical_transform_reduced")
     _check_boundary(G, f)
     f_sym = symmetrize(f)
     H = f.grid.nodes
@@ -268,7 +211,7 @@ def spherical_transform_reduced(G: GroupModel, f: SampledFunction,
                      * ghat.values[nonzero])
     if np.any(~nonzero):
         first_moment = f.grid.step * np.sum(H * g)
-        vals[~nonzero] = G.weyl_order * G.root_coeffs[0] * first_moment
+        vals[~nonzero] = G.weyl_order * G.root * first_moment
     return SphericalTransform(lam_arr, vals, label=f.label)
 
 
@@ -280,7 +223,6 @@ def inverse_spherical(G: GroupModel, F: SphericalTransform,
     must keep its nodes off the wall H = 0 so the division by phi is
     defined.
     """
-    require_rank_one(G, "inverse_spherical")
     defect = F.weyl_invariance_defect()
     if defect > 1e-6:
         raise WallSingularityError(

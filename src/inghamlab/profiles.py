@@ -1,24 +1,25 @@
-"""Decay profiles and the integrals that split vanishing from existence.
+"""Decay profiles and the dyadic test that splits vanishing from existence.
 
 A profile is either a nondecreasing envelope exponent psi on [0, inf) or
 a decreasing-to-zero modulation theta.  The associated integral,
 
-    psi kind:    integral over (0, R] of psi(r) / (1 + r^2) dr,
-    theta kind:  integral over [1, R] of theta(r) / r dr,
+    psi kind:    integral of psi(r) / (1 + r^2) dr,
+    theta kind:  integral over [1, inf) of theta(r) / r dr,
 
 decides between the two regimes: divergence forces vanishing theorems,
-convergence admits nonzero compactly supported constructions.  Partial
-integrals are computed with an adaptive Simpson rule at relative
-tolerance 1e-8 per panel, and a dyadic-schedule classifier issues a
-clearly-labeled heuristic verdict on the full integral.  The module also
-holds the one lookup behind every name registry: decay profiles,
-initial profiles and group presets.
+convergence admits nonzero compactly supported constructions.  One test
+decides it, for the classifier and the sinc-product constructor alike:
+the dyadic series of theta(2**k), with theta = psi/r for psi profiles
+(for r >= 1, r/(1 + r^2) lies between 1/(2r) and 1/r, so the two
+integrals converge together).  The module also holds the one lookup
+behind every name registry: decay profiles, initial profiles and group
+presets.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,134 +153,134 @@ def profile_from_config(name: str, params: dict | None = None) -> DecayProfile:
     return registry_lookup(PROFILES, "profile", name, params)
 
 
-def adaptive_simpson(func, a: float, b: float, rel_tol: float = 1e-8,
-                     max_depth: int = 48) -> float:
-    """Adaptive Simpson quadrature with the given per-panel relative tolerance."""
-    if not b > a:
-        raise ValueError("b > a required")
+def theta_from_psi(psi: DecayProfile) -> DecayProfile:
+    """The modulation theta(r) = psi(r)/r, with the quotient clamped at r = 1.
 
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+    The clamp defines the derived modulation down to 0; admissibility is
+    left to the dyadic test rather than to profile validation.
+    """
+    if psi.kind is not ProfileKind.PSI_NONDECREASING:
+        raise ProfileError("theta_from_psi needs a nondecreasing profile")
 
-    def recurse(lo, hi, flo, fmid, fhi, whole, depth):
-        mid = 0.5 * (lo + hi)
-        fl = float(func(0.5 * (lo + mid)))
-        fr = float(func(0.5 * (mid + hi)))
-        left = simpson(lo, mid, flo, fl, fmid)
-        right = simpson(mid, hi, fmid, fr, fhi)
-        delta = left + right - whole
-        tol = rel_tol * max(abs(left + right), 1e-300)
-        if depth <= 0 or abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        return (recurse(lo, mid, flo, fl, fmid, left, depth - 1)
-                + recurse(mid, hi, fmid, fr, fhi, right, depth - 1))
+    def quotient(r):
+        rr = np.maximum(np.asarray(r, dtype=float), 1.0)
+        return np.asarray(psi(rr), dtype=float) / rr
 
-    flo, fmid, fhi = (float(func(a)), float(func(0.5 * (a + b))), float(func(b)))
-    whole = simpson(a, b, flo, fmid, fhi)
-    return recurse(a, b, flo, fmid, fhi, whole, max_depth)
+    return DecayProfile(f"theta[{psi.name}]", ProfileKind.THETA_DECREASING,
+                        quotient, validate=False)
 
 
-def _panel_edges(lo: float, hi: float) -> list[float]:
-    # dyadic panels keep the adaptive rule honest over many decades
-    edges = [lo]
-    edge = max(lo, 1.0)
-    if edge > lo:
-        edges.append(min(edge, hi))
-    while edges[-1] < hi:
-        edges.append(min(edges[-1] * 2.0, hi))
-    return edges
-
-
-def ingham_integral_partial(profile: DecayProfile, R: float) -> float:
-    """Partial integral up to R of the kind-appropriate integrand."""
-    R = float(R)
-    if not R > 1.0:
-        raise ValueError("R must exceed 1")
-    if profile.kind is ProfileKind.PSI_NONDECREASING:
-        def integrand(r):
-            return float(profile(r)) / (1.0 + r * r)
-        lo = 0.0
-    else:
-        def integrand(r):
-            return float(profile(r)) / r
-        lo = 1.0
-    edges = _panel_edges(lo, R)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += adaptive_simpson(integrand, a, b)
-    return total
-
+TRUNCATION_TOL = 1e-8
+MAX_TERMS = 1023  # last k with 2.0**k finite in float64
+_BLOCK_RATIO_MAX = 0.8
 
 VERDICT_DIVERGENT = "LIKELY_DIVERGENT"
 VERDICT_CONVERGENT = "LIKELY_CONVERGENT"
-VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 
-_NOTE = ("verdict is a finite-schedule heuristic based on the fitted decay "
-         "of partial-integral increments; it is not a proof")
+_NOTE = ("verdict of the dyadic test on a_k = theta(2**k) that the "
+         "sinc-product constructor applies (theta = psi/r for psi profiles): "
+         "convergent when a term falls below the truncation tolerance or the "
+         "last four dyadic block sums shrink by a ratio of at most 0.8; a "
+         "finite-schedule test, not a proof.  For nonincreasing theta, "
+         "ln2 * sum_{k=2..K} a_k <= integral over [2, 2**K] of theta(r)/r dr "
+         "<= ln2 * sum_{k=1..K-1} a_k")
+
+
+def _block_sums(terms) -> list[float]:
+    # sums over the index blocks [2**j, 2**(j+1)) of the term array
+    a = np.asarray(terms)
+    sums = []
+    j = 0
+    while 2 ** (j + 1) <= a.size:
+        sums.append(float(np.sum(a[2 ** j:2 ** (j + 1)])))
+        j += 1
+    return sums
+
+
+def _block_sums_shrink(sums: list[float]) -> bool:
+    # geometric decay of the block sums is the Cauchy signature of a
+    # convergent series
+    if len(sums) < 5:
+        return False
+    tail = sums[-4:]
+    ratios = [tail[i + 1] / tail[i] if tail[i] > 0 else 0.0 for i in range(3)]
+    return all(r <= _BLOCK_RATIO_MAX for r in ratios)
 
 
 @dataclass(frozen=True)
 class IntegralDiagnostics:
+    """Terms a_k = theta(2**k), k = 1..n_terms, and the dyadic test's call.
+
+    ``stopped_by`` says how the terms ended: "tolerance" when the next
+    fell below TRUNCATION_TOL, "term cap" after MAX_TERMS terms,
+    "overflow" when the next was infinite.
+    """
+
     profile_name: str
-    schedule: np.ndarray
-    partials: np.ndarray
-    increments: np.ndarray
-    tail_exponent: float
-    verdict: str
-    note: str = _NOTE
+    terms: tuple
+    stopped_by: str
+    converges: bool
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_CONVERGENT if self.converges else VERDICT_DIVERGENT
 
     def to_json_dict(self) -> dict:
+        a = self.terms
         return {
             "profile": self.profile_name,
-            "schedule": [float(r) for r in self.schedule],
-            "partials": [float(v) for v in self.partials],
-            "increments": [float(v) for v in self.increments],
-            "tail_exponent": float(self.tail_exponent),
+            "n_terms": len(a),
+            "stopped_by": self.stopped_by,
+            "block_sums": _block_sums(a),
+            "integral_bracket": {"upper_limit": 2.0 ** max(len(a), 1),
+                                 "lower": math.log(2.0) * math.fsum(a[1:]),
+                                 "upper": math.log(2.0) * math.fsum(a[:-1])},
             "verdict": self.verdict,
-            "note": self.note,
+            "note": _NOTE,
         }
 
 
-def default_schedule() -> np.ndarray:
-    return np.geomspace(10.0, 1e8, 8)
+def dyadic_series(theta: DecayProfile) -> IntegralDiagnostics:
+    """Run the dyadic test on the terms a_k = theta(2**k), k >= 1.
 
-
-def classify_integral(profile: DecayProfile, R_schedule=None) -> IntegralDiagnostics:
-    """Heuristic convergent/divergent call from a growing cutoff schedule.
-
-    Increments of the partial integral over a geometric schedule decay
-    like index**-p for the stock profiles; p clearly above 1 reads as
-    convergent, p at or below 1 as divergent, the gap as inconclusive.
+    Since theta is nonincreasing, the integral of theta(r)/r over
+    [2**k, 2**(k+1)] lies between ln2 * a_(k+1) and ln2 * a_k, so the
+    theta integral converges exactly when the series of the a_k does.
+    Terms stop below TRUNCATION_TOL, where they no longer matter to a
+    sinc product, and converge; terms that run to MAX_TERMS converge
+    when their dyadic block sums decay geometrically.  An infinite term
+    means divergence: either it is, or psi(2**k) overflowed, so the term
+    is at least 2 and so is every term before it.
     """
-    schedule = np.asarray(default_schedule() if R_schedule is None else R_schedule,
-                          dtype=float)
-    if schedule.size < 4 or not np.all(np.diff(schedule) > 0):
-        raise ValueError("schedule must be increasing with at least 4 cutoffs")
-    if not schedule[0] > 1.0:
-        raise ValueError("schedule must start above 1")
-
-    partials = np.array([ingham_integral_partial(profile, R) for R in schedule])
-    increments = np.diff(partials)
-    total = float(partials[-1])
-
-    if total <= 1e-300:
-        return IntegralDiagnostics(profile.name, schedule, partials, increments,
-                                   math.inf, VERDICT_CONVERGENT)
-    if increments[-1] < 1e-9 * total:
-        return IntegralDiagnostics(profile.name, schedule, partials, increments,
-                                   math.inf, VERDICT_CONVERGENT)
-
-    idx = np.arange(1, increments.size + 1, dtype=float)
-    keep = increments > 1e-300
-    if np.count_nonzero(keep) < 3:
-        return IntegralDiagnostics(profile.name, schedule, partials, increments,
-                                   math.inf, VERDICT_CONVERGENT)
-    slope = np.polyfit(np.log(idx[keep]), np.log(increments[keep]), 1)[0]
-    p = -float(slope)
-    if p > 1.25:
-        verdict = VERDICT_CONVERGENT
-    elif p < 1.05:
-        verdict = VERDICT_DIVERGENT
+    if theta.kind is not ProfileKind.THETA_DECREASING:
+        raise ValueError("the dyadic test requires a theta-kind profile")
+    terms = []
+    stopped_by = "term cap"
+    with np.errstate(over="ignore"):
+        for k in range(1, MAX_TERMS + 1):
+            a_k = float(theta(2.0 ** k))
+            if a_k == math.inf:
+                stopped_by = "overflow"
+                break
+            if not np.isfinite(a_k) or a_k < 0:
+                raise ProfileError(
+                    f"{theta.name}: invalid half-width at k={k}")
+            if a_k < TRUNCATION_TOL:
+                stopped_by = "tolerance"
+                break
+            if terms and a_k > terms[-1] * (1 + 1e-12):
+                raise ProfileError(
+                    f"{theta.name}: half-widths increase at k={k}")
+            terms.append(a_k)
+    if stopped_by == "term cap":
+        converges = _block_sums_shrink(_block_sums(terms))
     else:
-        verdict = VERDICT_INCONCLUSIVE
-    return IntegralDiagnostics(profile.name, schedule, partials, increments, p, verdict)
+        converges = stopped_by == "tolerance"
+    return IntegralDiagnostics(theta.name, tuple(terms), stopped_by, converges)
+
+
+def classify_integral(profile: DecayProfile) -> IntegralDiagnostics:
+    """The dyadic test's call on the profile's integral; see dyadic_series."""
+    theta = (profile if profile.kind is ProfileKind.THETA_DECREASING
+             else theta_from_psi(profile))
+    return replace(dyadic_series(theta), profile_name=profile.name)

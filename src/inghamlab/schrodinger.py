@@ -7,8 +7,8 @@ Conventions.  On the line the equation is
 so the spectral multiplier is exp(-i t (xi^2 + c)) in the transform
 convention of :mod:`inghamlab.fourier`, and the fundamental solution is
 
-    gamma_{c,t}(x) = (4 pi |t|)^{-n/2} exp(-i c t)
-                     * exp(-i sign(t) pi n / 4) * exp(i |x|^2 / (4 t)).
+    gamma_{c,t}(x) = (4 pi |t|)^{-1/2} exp(-i c t)
+                     * exp(-i sign(t) pi / 4) * exp(i x^2 / (4 t)).
 
 On the model space the multiplier is exp(-i t (|lambda|_B^2 + |rho|_B^2))
 against the spherical transform; in physical coordinates the generator is
@@ -33,8 +33,7 @@ from .fourier import fourier_transform, inverse_fourier_transform
 from .grids import Grid, SampledFunction, SpectralFunction
 from .groups import (GroupModel, SphericalTransform, WallSingularityError,
                      c_inverse, inverse_spherical, phi_weight,
-                     require_rank_one, spherical_transform_reduced,
-                     symmetrize)
+                     spherical_transform_reduced, symmetrize)
 
 
 class InvalidTimeError(ValueError):
@@ -50,24 +49,20 @@ _TAIL_FRACTION_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SchrodingerParams:
-    """Evolution time t0, zeroth-order coefficient c, and dimension n.
+    """Evolution time t0 and zeroth-order coefficient c.
 
-    ``c`` and ``n`` only apply on the line; the model-space flow fixes
-    the zeroth-order term to |rho|_B^2 and lives in the rank of the
-    model.
+    ``c`` only applies on the line; the model-space flow fixes the
+    zeroth-order term to |rho|_B^2.
     """
 
     t0: float
     c: float = 0.0
-    n: int = 1
 
     def __post_init__(self):
         if not np.isfinite(self.t0):
             raise InvalidTimeError("t0 must be finite")
         if not np.isfinite(self.c):
             raise ValueError("c must be finite")
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError("n must be a positive integer")
 
 
 def _require_nonzero_time(params: SchrodingerParams):
@@ -79,10 +74,10 @@ def _require_nonzero_time(params: SchrodingerParams):
 def kernel_gamma(params: SchrodingerParams, x) -> np.ndarray:
     """Fundamental solution gamma_{c,t} sampled at |x| values."""
     _require_nonzero_time(params)
-    t, n = params.t0, params.n
+    t = params.t0
     x = np.asarray(x, dtype=float)
-    amp = (4.0 * np.pi * abs(t)) ** (-0.5 * n)
-    phase = np.exp(-1j * params.c * t) * np.exp(-1j * np.sign(t) * np.pi * n / 4.0)
+    amp = (4.0 * np.pi * abs(t)) ** -0.5
+    phase = np.exp(-1j * params.c * t) * np.exp(-1j * np.sign(t) * np.pi / 4.0)
     return amp * phase * np.exp(1j * x * x / (4.0 * t))
 
 
@@ -103,8 +98,6 @@ def _warn_on_tail(xi: np.ndarray, spectral_values: np.ndarray, what: str):
 def evolve_spectral(f: SampledFunction, params: SchrodingerParams,
                     check_aliasing: bool = True) -> SampledFunction:
     """Exact flow on the line via the dual-grid multiplier."""
-    if params.n != 1:
-        raise ValueError("grid evolution is one dimensional")
     fhat = fourier_transform(f)
     if check_aliasing:
         _warn_on_tail(fhat.xi_values, fhat.values, "initial data")
@@ -124,8 +117,6 @@ def evolve_closed_form(f: SampledFunction,
     spectral route rather than a reshuffling of the same FFT.  For
     t0 < 0 the set is summed reversed, since frequency sets ascend.
     """
-    if params.n != 1:
-        raise ValueError("grid evolution is one dimensional")
     _require_nonzero_time(params)
     t = params.t0
     x = f.grid.nodes
@@ -141,8 +132,7 @@ def evolve_closed_form(f: SampledFunction,
     return f.with_values(pref * chirp * vals)
 
 
-def _require_group_usable(G: GroupModel, params: SchrodingerParams):
-    require_rank_one(G, "gridded group evolution")
+def _require_zero_c(params: SchrodingerParams):
     if params.c != 0.0:
         raise ValueError("the model-space flow fixes the zeroth-order term "
                          "to |rho|_B^2; set c = 0")
@@ -152,7 +142,7 @@ def evolve_group_spectral(G: GroupModel, f: SampledFunction,
                           params: SchrodingerParams,
                           check_aliasing: bool = True) -> SampledFunction:
     """Model-space flow through the spherical transform and back."""
-    _require_group_usable(G, params)
+    _require_zero_c(params)
     F = spherical_transform_reduced(G, f)
     lam = F.lambda_values
     if check_aliasing:
@@ -176,9 +166,8 @@ def calibrate_group_constant(G: GroupModel, time_sign: float = 1.0) -> complex:
     per model and time direction.  The modulus lands on b/(2 sqrt(pi))
     and the phase on -sign(t) pi/4; tests pin both.
     """
-    require_rank_one(G, "calibration")
     sign = 1.0 if time_sign >= 0.0 else -1.0
-    key = (G.name, G.root_coeffs, G.b_scales, sign)
+    key = (G, sign)
     if key in _calibration_cache:
         return _calibration_cache[key]
 
@@ -195,7 +184,7 @@ def calibrate_group_constant(G: GroupModel, time_sign: float = 1.0) -> complex:
     peak = int(np.argmax(np.abs(u_sp.values * phi)))
     H_star = float(H[peak])
 
-    b = G.b_scales[0]
+    b = G.b
     chirp = np.exp(1j * G.b_norm(H) ** 2 / (4.0 * t))
     g_f = chirp * f.values * phi
     xi_star = b * b * H_star / (2.0 * t)
@@ -221,7 +210,7 @@ def evolve_group_closed_form(G: GroupModel, f: SampledFunction,
     :func:`inghamlab.fourier.fourier_transform`, whose exactly reduced
     phases keep that accuracy; for t0 < 0 the set is summed reversed.
     """
-    _require_group_usable(G, params)
+    _require_zero_c(params)
     _require_nonzero_time(params)
     if f.grid.has_zero_node:
         raise WallSingularityError(
@@ -229,7 +218,7 @@ def evolve_group_closed_form(G: GroupModel, f: SampledFunction,
     t = params.t0
     H = f.grid.nodes
     phi = phi_weight(G, H)
-    b = G.b_scales[0]
+    b = G.b
     chirp = np.exp(1j * G.b_norm(H) ** 2 / (4.0 * t))
     g_f = chirp * symmetrize(f).values * phi
     xi = b * b * H / (2.0 * t)
@@ -294,14 +283,13 @@ def pde_residual(u_minus: SampledFunction, u_mid: SampledFunction,
     elif mode == "group":
         if G is None:
             raise ValueError("group mode needs a model")
-        require_rank_one(G, "group mode")
         if grid.has_zero_node:
             raise WallSingularityError(
                 "group residual divides by phi; use a half-step grid")
         phi = phi_weight(G, grid.nodes)
         w = u_mid.values * phi
         wpp = (np.roll(w, -1) - 2.0 * w + np.roll(w, 1)) / (h * h)
-        spatial = (wpp / G.b_scales[0] ** 2 - G.rho_b_norm_sq * w) / phi
+        spatial = (wpp / G.b ** 2 - G.rho_b_norm_sq * w) / phi
     else:
         raise ValueError(f"unknown mode {mode!r}")
     residual = 1j * dudt + spatial

@@ -111,12 +111,6 @@ def test_gf_phase_cancellation(witness, witness_params, sl2c):
     np.testing.assert_allclose(gf, expect, atol=1e-12)
 
 
-def test_initial_data_requires_rank_one(witness_params, offset_grid):
-    G2 = il.sl2c_product()
-    with pytest.raises(ValueError, match="rank-one"):
-        build_initial_data(witness_params, G2, offset_grid)
-
-
 def test_initial_data_requires_half_step_grid(witness_params, sl2c):
     grid = il.Grid.symmetric(32.0, 2 ** 14, offset=False)  # has H = 0
     with pytest.raises(WallSingularityError):

@@ -19,9 +19,8 @@ GROUP_PROFILES = [
 
 
 def test_sl2c_structure(sl2c):
-    assert sl2c.rank == 1
+    assert (sl2c.name, sl2c.root, sl2c.b) == ("sl2c", 2.0, 4.0)
     assert sl2c.weyl_order == 2
-    assert sl2c.rho == (2.0,)
     H = np.array([0.5, 1.0, 2.0])
     np.testing.assert_allclose(il.phi_weight(sl2c, H), 2 * np.sinh(2 * H))
     np.testing.assert_allclose(sl2c.b_norm(H), 4 * H)
@@ -29,21 +28,11 @@ def test_sl2c_structure(sl2c):
     np.testing.assert_allclose(sl2c.rho_b_norm_sq, 0.25)
 
 
-def test_product_model_structure():
-    G = il.sl2c_product()
-    assert G.rank == 2
-    assert G.weyl_order == 4
-    H = np.array([[0.5, 1.0]])
-    np.testing.assert_allclose(il.phi_weight(G, H),
-                               4 * np.sinh(1.0) * np.sinh(2.0))
-    np.testing.assert_allclose(G.b_norm(H), np.hypot(2.0, 4.0))
-
-
 def test_presets():
     assert preset("sl2c").name == "sl2c"
-    assert preset("sl2c_x_sl2c").rank == 2
-    with pytest.raises(ValueError):
-        preset("so31")
+    for name in ("so31", "sl2c_x_sl2c"):
+        with pytest.raises(ValueError):
+            preset(name)
 
 
 def test_spherical_function_closed_form(sl2c):
@@ -155,9 +144,3 @@ def test_wall_value_matches_direct_limit(sl2c, gaussian_on_group):
     np.testing.assert_allclose(F_fast.values[idx], F_slow.values[0],
                                rtol=1e-10)
 
-
-def test_rank_two_transforms_rejected(offset_grid):
-    G = il.sl2c_product()
-    f = il.SampledFunction.from_callable(offset_grid, lambda H: np.exp(-H ** 2))
-    with pytest.raises(ValueError):
-        il.spherical_transform_reduced(G, f)

@@ -1,12 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import inghamlab as il
-from inghamlab.profiles import (VERDICT_CONVERGENT, VERDICT_DIVERGENT,
-                                adaptive_simpson, default_schedule,
-                                ingham_integral_partial)
+from inghamlab.profiles import (MAX_TERMS, VERDICT_CONVERGENT,
+                                VERDICT_DIVERGENT)
 
 
 def test_registry_contents():
@@ -56,29 +58,44 @@ def test_psi_from_theta():
         il.psi_from_theta(il.PROFILES["psi_linear"]())
 
 
-def test_adaptive_simpson_against_closed_forms():
-    got = adaptive_simpson(np.sin, 0.0, np.pi)
-    np.testing.assert_allclose(got, 2.0, atol=1e-10)
-    got = adaptive_simpson(lambda x: np.exp(-x), 0.0, 50.0)
-    np.testing.assert_allclose(got, 1.0, atol=1e-10)
+def _bracket(profile):
+    blob = il.classify_integral(profile).to_json_dict()
+    K = blob["n_terms"]
+    b = blob["integral_bracket"]
+    assert b["upper_limit"] == 2.0 ** K
+    assert b["lower"] <= b["upper"]
+    return K, b["lower"], b["upper"]
 
 
 def test_partial_integral_linear_psi_oracle():
-    """For psi(r) = r the partial integral is log(1+R^2)/2."""
-    psi = il.PROFILES["psi_linear"]()
-    for R in (10.0, 1e3, 1e6):
-        got = ingham_integral_partial(psi, R)
-        np.testing.assert_allclose(got, 0.5 * np.log1p(R ** 2), rtol=1e-8)
+    """theta = psi/r = s, so the integral over [2, 2**K] is s ln(2**K/2)."""
+    for s in (0.5, 1.0, 1.5):
+        K, lo, hi = _bracket(il.psi_linear(s))
+        assert K == MAX_TERMS
+        # for constant theta both ends are ln2 * s * (K - 1), the integral
+        np.testing.assert_allclose([lo, hi], s * math.log(2.0 ** K / 2.0),
+                                   rtol=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.75, 0.9])
+def test_bracket_psi_power_closed_form(a):
+    """theta = r**(a-1); the integral over [2, 2**K] has a closed form."""
+    K, lo, hi = _bracket(il.psi_power(a))
+    exact = (2.0 ** (a - 1) - 2.0 ** (K * (a - 1))) / (1 - a)
+    assert lo <= exact <= hi
+    # the bracket is ln2 * (a_1 - a_K) wide
+    np.testing.assert_allclose(hi - lo, math.log(2.0) * (
+        2.0 ** (a - 1) - 2.0 ** (K * (a - 1))), rtol=1e-9)
 
 
 def test_partial_integral_theta_log_grows_like_loglog():
-    theta = il.theta_log()
-    # integral of 1/(r log r) from R0 to R is loglog R - loglog R0
-    vals = [ingham_integral_partial(theta, R) for R in (1e2, 1e4, 1e8)]
-    inc1, inc2 = vals[1] - vals[0], vals[2] - vals[1]
-    # doubling log R adds a near-constant increment, halving nothing
-    assert inc2 > 0.5 * inc1
-    assert vals[2] < 10.0
+    # for r >= 2, log r < log(e + r) <= 1 + log r, so the integral of
+    # theta_log(r)/r over [2, 2**K] lies between ln((1 + K ln2)/(1 + ln2))
+    # and ln K, and the bracket must meet that range
+    K, lo, hi = _bracket(il.theta_log())
+    assert K == MAX_TERMS
+    assert lo <= math.log(K)
+    assert hi >= math.log((1 + K * math.log(2.0)) / (1 + math.log(2.0)))
 
 
 def test_classifier_verdicts():
@@ -98,15 +115,81 @@ def test_classifier_diagnostics_roundtrip():
     d = il.classify_integral(il.theta_log_sq())
     blob = d.to_json_dict()
     assert blob["verdict"] == VERDICT_CONVERGENT
-    assert len(blob["partials"]) == default_schedule().size
-    assert all(b >= a for a, b in zip(blob["partials"], blob["partials"][1:]))
+    assert blob["profile"] == "theta_log_sq"
+    assert blob["n_terms"] == len(d.terms) == MAX_TERMS
+    assert blob["stopped_by"] == "term cap"
+    # one sum per full index block [2**j, 2**(j+1)) below MAX_TERMS
+    assert len(blob["block_sums"]) == 9
+    np.testing.assert_allclose(blob["block_sums"][0], d.terms[1])
+    # the convergent tail: each block sum at most 0.8 of the one before
+    tail = blob["block_sums"][-4:]
+    assert all(b <= 0.8 * a for a, b in zip(tail, tail[1:]))
 
 
 def test_classifier_rejects_bad_schedule():
-    with pytest.raises(ValueError):
-        il.classify_integral(il.theta_log(), R_schedule=[10.0, 5.0, 20.0, 40.0])
-    with pytest.raises(ValueError):
-        il.classify_integral(il.theta_log(), R_schedule=[0.5, 1.0, 2.0, 4.0])
+    # psi(r) = r**2 passes its spot check, but psi/r increases
+    psi = il.DecayProfile("psi_square", il.ProfileKind.PSI_NONDECREASING,
+                          lambda r: np.asarray(r, dtype=float) ** 2)
+    with pytest.raises(il.ProfileError, match="increase"):
+        il.classify_integral(psi)
+    with pytest.raises(il.ProfileError, match="increase"):
+        il.spec_from_psi(psi)
+
+
+def test_overflowing_term_is_divergent_without_warning():
+    # 2 * 2**1023 overflows: the last term is inf, and the terms before
+    # it are all 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = il.classify_integral(il.psi_linear(2.0))
+        assert d.verdict == VERDICT_DIVERGENT
+        assert d.stopped_by == "overflow"
+        assert len(d.terms) == MAX_TERMS - 1
+        with pytest.raises(il.DivergentProfileError):
+            il.spec_from_psi(il.psi_linear(2.0))
+
+
+def _accepted(profile):
+    build = (il.spec_from_theta
+             if profile.kind is il.ProfileKind.THETA_DECREASING
+             else il.spec_from_psi)
+    try:
+        build(profile)
+    except il.DivergentProfileError:
+        return False
+    return True
+
+
+def _agree(profile):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = il.classify_integral(profile).verdict
+        assert (verdict == VERDICT_CONVERGENT) == _accepted(profile)
+    return verdict
+
+
+@settings(max_examples=30, deadline=None)
+@given(exponent=st.floats(min_value=0.0, max_value=0.95,
+                          exclude_min=True))
+@example(exponent=0.85)
+@example(exponent=0.9)
+@example(exponent=0.95)
+def test_classify_agrees_with_constructor_psi_power(exponent):
+    # for a <= 0.95 the terms 2**((a - 1) k) fall below the truncation
+    # tolerance by k = 532, inside the term cap
+    assert _agree(il.psi_power(exponent)) == VERDICT_CONVERGENT
+
+
+@settings(max_examples=30, deadline=None)
+@given(slope=st.floats(min_value=0.5, max_value=3.0))
+@example(slope=2.0)
+def test_classify_agrees_with_constructor_psi_linear(slope):
+    assert _agree(il.psi_linear(slope)) == VERDICT_DIVERGENT
+
+
+@pytest.mark.parametrize("name", sorted(il.PROFILES))
+def test_classify_agrees_with_constructor_registered(name):
+    _agree(il.PROFILES[name]())
 
 
 @settings(max_examples=25, deadline=None)

@@ -263,5 +263,3 @@ def test_params_validation():
         il.SchrodingerParams(t0=np.inf)
     with pytest.raises(ValueError):
         il.SchrodingerParams(t0=1.0, c=np.nan)
-    with pytest.raises(ValueError):
-        il.SchrodingerParams(t0=1.0, n=0)
