@@ -2,14 +2,18 @@
 
 Runs are deterministic for a fixed config: CSV cells use shortest
 roundtrip float repr, manifests are canonical JSON keyed by a config
-digest, and nothing records wall-clock time.  Exit codes: 0 success,
-2 when --expect-holds is given and the verdict is FAILS, 1 on errors.
+digest, and nothing records wall-clock time.  Every option resolves
+flag -> config -> default before any work starts, and the manifest's
+config holds exactly the resolved values, so it reruns the same run.
+Exit codes: 0 success, 2 when --expect-holds is given and the verdict
+is not HOLDS, 1 on errors, usage errors and unread input included.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -23,8 +27,8 @@ from .counterexample import (MODE_LINEAR, MODE_THETA, CounterexampleParams,
 from .envelopes import HOLDS
 from .fourier import fourier_transform, fourier_transform_direct, l2_norm
 from .grids import Grid, SampledFunction, SpectralFunction
-from .groups import (phi_weight, preset, spherical_transform_direct,
-                     spherical_transform_reduced)
+from .groups import (DEFAULT_GRID, phi_weight, preset,
+                     spherical_transform_direct, spherical_transform_reduced)
 from .schrodinger import (SchrodingerParams, evolve_closed_form,
                           evolve_group_closed_form, evolve_group_spectral,
                           evolve_spectral)
@@ -80,7 +84,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "xi0": _NUMERIC,
-                "start": _NUMERIC,
                 "count": {"type": "integer", "minimum": 2},
                 "slack": _NUMERIC,
             },
@@ -90,17 +93,9 @@ CONFIG_SCHEMA = {
     },
 }
 
-# per-subcommand (radius, points, offset); group runs override below
-_GRID_DEFAULTS = {
-    "construct": (16.0, 4096, False),
-    "verify": (16.0, 4096, False),
-    "transform": (64.0, 2 ** 14, False),
-    "evolve": (64.0, 2 ** 14, False),
-    "counterexample": (32.0, 2 ** 14, True),
-    "dichotomy": (32.0, 2 ** 14, True),
-    "classify": (16.0, 4096, False),
-}
-_GROUP_GRID_DEFAULT = (32.0, 2 ** 14, True)
+# (radius, points, offset); group runs use groups.DEFAULT_GRID
+_CERT_GRID = (16.0, 4096, False)
+_LINE_GRID = (64.0, 2 ** 14, False)
 
 _CERT_SLACK_DEFAULT = 0.5
 _ENVELOPE_SLACK_DEFAULT = 0.10
@@ -115,78 +110,120 @@ def _load_config(path):
     return config
 
 
-def _dig(config, *keys):
-    node = config
-    for key in keys:
-        if not isinstance(node, dict) or key not in node:
+class _Options:
+    """The options of one run, each resolved flag -> config -> default.
+
+    ``get`` records every value it returns, None aside, under its config
+    path; the records are the run's manifest config.  ``seal`` ends
+    resolution and refuses any given flag or config entry that no ``get``
+    read, so a manifest never lists an input that the run ignored.
+    """
+
+    def __init__(self, flags: dict, config: dict):
+        self._flags = flags  # config path -> (flag, value or None)
+        self._config = config
+        self._read = set()
+        self._sealed = False
+        self.record = {}
+
+    def get(self, path: str, default=None, kind=None):
+        if self._sealed:
+            raise RuntimeError(f"option {path} read after resolution ended")
+        self._read.add(path)
+        keys = path.split(".")
+        value = self._flags.get(path, (None, None))[1]
+        if value is None:
+            value = self._config
+            for key in keys:
+                value = None if value is None else value.get(key)
+        if value is None:
+            value = default
+        if value is None:
             return None
-        node = node[key]
-    return node
+        if kind is not None:
+            value = kind(value)
+        node = self.record
+        for key in keys[:-1]:
+            node = node.setdefault(key, {})
+        node[keys[-1]] = value
+        return value
+
+    def seal(self) -> None:
+        self._sealed = True
+        unread = [flag for path, (flag, value) in self._flags.items()
+                  if value is not None and path not in self._read]
+        unread += [f"config {path}"
+                   for path in _entries(self._config, self._read)]
+        if unread:
+            raise ValueError("not read by this run: " + ", ".join(unread))
 
 
-def _pick(*candidates):
-    for value in candidates:
-        if value is not None:
-            return value
-    return None
+def _entries(node: dict, read: set, prefix: str = ""):
+    """Config paths under ``node`` that no read path covers."""
+    for key, value in node.items():
+        path = prefix + key
+        if path in read:
+            continue
+        if isinstance(value, dict):
+            yield from _entries(value, read, path + ".")
+        else:
+            yield path
 
 
-def _build_grid(args, config):
-    base = _GRID_DEFAULTS[args.subcommand]
-    if getattr(args, "group", None):
-        base = _GROUP_GRID_DEFAULT
-    radius = float(_pick(args.grid_radius, _dig(config, "grid", "radius"),
-                         base[0]))
-    points = int(_pick(args.grid_points, _dig(config, "grid", "points"),
-                       base[1]))
-    offset = bool(_pick(_dig(config, "grid", "offset"), base[2]))
-    return Grid.symmetric(radius, points, offset=offset)
+def _grid(opts, default):
+    radius, points, offset = default
+    return Grid.symmetric(opts.get("grid.radius", radius, float),
+                          opts.get("grid.points", points, int),
+                          opts.get("grid.offset", offset, bool))
 
 
-def _grid_dict(grid):
-    return {"radius": grid.x_max, "points": grid.n_points,
-            "offset": grid.offset}
+def _named(opts, key, default):
+    return opts.get(f"{key}.name", default), opts.get(f"{key}.params", {})
 
 
-def _initial_function(args, config, grid):
-    name = _pick(getattr(args, "initial", None),
-                 _dig(config, "initial", "name"), "gaussian")
-    params = _dig(config, "initial", "params") or {}
-    func = initialdata.profile_from_config(name, params)
-    return SampledFunction.from_callable(grid, func, label=name), name, params
+def _windows(opts, slack):
+    return {"n_windows": opts.get("windows.count", 3, int),
+            "slack": opts.get("windows.slack", slack, float)}
 
 
-def _named_profile(args, config, default):
-    name = _pick(getattr(args, "profile", None),
-                 _dig(config, "profile", "name"), default)
-    params = _dig(config, "profile", "params") or {}
-    return profiles.profile_from_config(name, params), name, params
+def _cert_options(opts):
+    name, params = _named(opts, "profile", "theta_log_sq")
+    windows = {"xi0": opts.get("windows.xi0", 64.0, float),
+               **_windows(opts, _CERT_SLACK_DEFAULT)}
+    return name, params, windows
 
 
-def _windows(config, *, slack_default):
-    return {
-        "xi0": float(_pick(_dig(config, "windows", "xi0"), 64.0)),
-        "start": _dig(config, "windows", "start"),
-        "count": int(_pick(_dig(config, "windows", "count"), 3)),
-        "slack": float(_pick(_dig(config, "windows", "slack"), slack_default)),
-    }
+def _witness_params(opts):
+    # beta' defaults to the value CounterexampleParams derives, and the
+    # manifest records it like any other resolved value
+    derived = CounterexampleParams(
+        alpha=opts.get("counterexample.alpha", 0.5, float),
+        eta=opts.get("counterexample.eta", 0.25, float),
+        t0=opts.get("counterexample.t0", 1.0, float))
+    return replace(derived, beta_prime=opts.get(
+        "counterexample.beta_prime", derived.beta_prime, float))
 
 
-def _spec_and_psi(profile):
+def _certify(name, params, windows):
+    profile = profiles.profile_from_config(name, params)
     if profile.kind is profiles.ProfileKind.THETA_DECREASING:
-        return (construct.spec_from_theta(profile),
-                profiles.psi_from_theta(profile))
-    return construct.spec_from_psi(profile), profile
+        spec = construct.spec_from_theta(profile)
+        psi = profiles.psi_from_theta(profile)
+    else:
+        spec, psi = construct.spec_from_psi(profile), profile
+    return spec, construct.decay_certificate(spec, psi, **windows)
 
 
-def _run_construct(args, config, out):
-    profile, name, params = _named_profile(args, config, "theta_log_sq")
-    windows = _windows(config, slack_default=_CERT_SLACK_DEFAULT)
-    grid = _build_grid(args, config)
-    spec, psi = _spec_and_psi(profile)
-    cert = construct.decay_certificate(spec, psi, xi0=windows["xi0"],
-                                       n_windows=windows["count"],
-                                       slack=windows["slack"])
+def _sampled(grid, name, params):
+    func = initialdata.profile_from_config(name, params)
+    return SampledFunction.from_callable(grid, func, label=name)
+
+
+def _run_construct(opts, out):
+    name, params, windows = _cert_options(opts)
+    grid = _grid(opts, _CERT_GRID)
+    opts.seal()
+    spec, cert = _certify(name, params, windows)
     # one evaluation on the dual grid feeds both realized.csv and product.csv
     xi = grid.dual_frequencies()
     values = construct.evaluate_product_fourier(spec, xi)
@@ -205,31 +242,24 @@ def _run_construct(args, config, out):
         "leak_fraction": leak,
         "certificate_verdict": cert.verdict,
     }
-    effective = {"profile": {"name": name, "params": params},
-                 "grid": _grid_dict(grid), "windows": windows}
     outputs = ["realized.csv", "product.csv", "spec.json", "certificate.json"]
     print(f"[construct] {name}: {spec.n_factors} factors, support radius "
           f"{spec.support_radius:.6f}, leak {leak:.2e}, certificate "
           f"{cert.verdict}")
-    return results, effective, outputs, cert.verdict
+    return results, outputs, cert.verdict
 
 
-def _run_verify(args, config, out):
-    profile, name, params = _named_profile(args, config, "theta_log_sq")
-    windows = _windows(config, slack_default=_CERT_SLACK_DEFAULT)
-    spec, psi = _spec_and_psi(profile)
-    cert = construct.decay_certificate(spec, psi, xi0=windows["xi0"],
-                                       n_windows=windows["count"],
-                                       slack=windows["slack"])
+def _run_verify(opts, out):
+    name, params, windows = _cert_options(opts)
+    opts.seal()
+    spec, cert = _certify(name, params, windows)
     io.write_json(out / "spec.json", spec.to_json_dict())
     io.write_json(out / "certificate.json", cert.to_json_dict())
     results = {"certificate_verdict": cert.verdict,
                "constants": [float(c) for c in cert.constants]}
-    effective = {"profile": {"name": name, "params": params},
-                 "windows": windows}
     print(f"[verify] {name}: certificate {cert.verdict}, constants "
           + ", ".join(f"{c:.6g}" for c in cert.constants))
-    return results, effective, ["spec.json", "certificate.json"], cert.verdict
+    return results, ["spec.json", "certificate.json"], cert.verdict
 
 
 def _probe_frequencies(rng, xi, count):
@@ -238,14 +268,17 @@ def _probe_frequencies(rng, xi, count):
     return idx
 
 
-def _run_transform(args, config, out):
-    grid = _build_grid(args, config)
-    f, name, params = _initial_function(args, config, grid)
-    probe = int(_pick(args.probe, _dig(config, "probe"), 0))
-    seed = int(_pick(args.seed, _dig(config, "seed"), 0))
+def _run_transform(opts, out):
+    group = opts.get("group")
+    grid = _grid(opts, DEFAULT_GRID if group else _LINE_GRID)
+    name, params = _named(opts, "initial", "gaussian")
+    probe = opts.get("probe", 0, int)
+    seed = opts.get("seed", 0, int)
+    opts.seal()
+    f = _sampled(grid, name, params)
     results = {}
-    if args.group:
-        G = preset(args.group)
+    if group:
+        G = preset(group)
         fast = partial(spherical_transform_reduced, G)
         oracle = partial(spherical_transform_direct, G)
         # |phi_lambda| <= 1, so h * sum |f| phi**2 bounds every |F(lambda)|
@@ -265,25 +298,24 @@ def _run_transform(args, config, out):
             np.max(np.abs(direct.values - spectrum.values[idx])) / scale)
     io.write_spectrum_csv(out / "spectrum.csv", spectrum)
     results["n_frequencies"] = int(spectrum.xi_values.size)
-    effective = {"initial": {"name": name, "params": params},
-                 "grid": _grid_dict(grid), "probe": probe, "seed": seed}
-    if args.group:
-        effective["group"] = args.group
     dev = results.get("probe_max_rel_dev")
     extra = "" if dev is None else f", probe dev {dev:.2e}"
     print(f"[transform] {name}: {spectrum.xi_values.size} frequencies{extra}")
-    return results, effective, ["spectrum.csv"], None
+    return results, ["spectrum.csv"], None
 
 
-def _run_evolve(args, config, out):
-    grid = _build_grid(args, config)
-    f, name, init_params = _initial_function(args, config, grid)
-    t0 = float(_pick(args.t0, _dig(config, "schrodinger", "t0"), 1.0))
-    c = float(_pick(args.c, _dig(config, "schrodinger", "c"), 0.0))
-    path = _pick(args.path, _dig(config, "schrodinger", "path"), "spectral")
+def _run_evolve(opts, out):
+    group = opts.get("group")
+    grid = _grid(opts, DEFAULT_GRID if group else _LINE_GRID)
+    name, init_params = _named(opts, "initial", "gaussian")
+    t0 = opts.get("schrodinger.t0", 1.0, float)
+    c = opts.get("schrodinger.c", 0.0, float)
+    path = opts.get("schrodinger.path", "spectral")
+    opts.seal()
+    f = _sampled(grid, name, init_params)
     params = SchrodingerParams(t0=t0, c=c)
-    if args.group:
-        G = preset(args.group)
+    if group:
+        G = preset(group)
         if path == "closed":
             u = evolve_group_closed_form(G, f, params)
         else:
@@ -293,44 +325,22 @@ def _run_evolve(args, config, out):
             else evolve_spectral(f, params)
     io.write_samples_csv(out / "solution.csv", u)
     results = {"l2_initial": l2_norm(f), "l2_solution": l2_norm(u)}
-    effective = {"initial": {"name": name, "params": init_params},
-                 "grid": _grid_dict(grid),
-                 "schrodinger": {"t0": t0, "c": c, "path": path}}
-    if args.group:
-        effective["group"] = args.group
     print(f"[evolve] {name} by t0={t0:g} ({path}): l2 {results['l2_initial']:.6f} "
           f"-> {results['l2_solution']:.6f}")
-    return results, effective, ["solution.csv"], None
+    return results, ["solution.csv"], None
 
 
-def _counterexample_params(args, config):
-    alpha = float(_pick(args.alpha, _dig(config, "counterexample", "alpha"),
-                        0.5))
-    eta = float(_pick(args.eta, _dig(config, "counterexample", "eta"), 0.25))
-    t0 = float(_pick(args.t0, _dig(config, "counterexample", "t0"), 1.0))
-    beta_prime = _pick(args.beta_prime,
-                       _dig(config, "counterexample", "beta_prime"))
-    return CounterexampleParams(alpha=alpha, eta=eta, t0=t0,
-                                beta_prime=beta_prime)
-
-
-def _theta_profile(args, config):
-    name = _pick(getattr(args, "theta_profile", None),
-                 _dig(config, "counterexample", "theta"), "theta_log")
-    return profiles.profile_from_config(name), name
-
-
-def _run_counterexample(args, config, out):
-    params = _counterexample_params(args, config)
-    mode = _pick(args.mode, _dig(config, "counterexample", "mode"),
-                 MODE_THETA)
-    theta, theta_name = (None, None)
-    if mode == MODE_THETA:
-        theta, theta_name = _theta_profile(args, config)
-    windows = _windows(config, slack_default=_ENVELOPE_SLACK_DEFAULT)
-    grid = _build_grid(args, config)
-    result = run_pipeline(params, mode, theta=theta, grid=grid,
-                          n_windows=windows["count"], slack=windows["slack"])
+def _run_counterexample(opts, out):
+    params = _witness_params(opts)
+    mode = opts.get("counterexample.mode", MODE_THETA)
+    theta_name = (opts.get("counterexample.theta", "theta_log")
+                  if mode == MODE_THETA else None)
+    windows = _windows(opts, _ENVELOPE_SLACK_DEFAULT)
+    grid = _grid(opts, DEFAULT_GRID)
+    opts.seal()
+    theta = (None if theta_name is None
+             else profiles.profile_from_config(theta_name))
+    result = run_pipeline(params, mode, theta=theta, grid=grid, **windows)
     io.write_samples_csv(out / "initial.csv", result.initial)
     io.write_samples_csv(out / "solution.csv", result.solution)
     io.write_json(out / "report.json", result.to_json_dict())
@@ -340,28 +350,24 @@ def _run_counterexample(args, config, out):
         "growth_factor": result.report.growth_factor,
         "companion_growth_factor": result.companion.growth_factor,
     }
-    effective = {
-        "counterexample": {**params.to_json_dict(), "mode": mode,
-                           "theta": theta_name},
-        "grid": _grid_dict(grid), "windows": windows,
-    }
     outputs = ["initial.csv", "solution.csv", "report.json"]
     print(f"[counterexample] mode {mode}, alpha={params.alpha:g}, "
           f"eta={params.eta:g}: {result.report.verdict} "
           f"(full-weight companion: {result.companion.verdict})")
-    return results, effective, outputs, result.report.verdict
+    return results, outputs, result.report.verdict
 
 
-def _run_dichotomy(args, config, out):
-    params = _counterexample_params(args, config)
-    theta, theta_name = _theta_profile(args, config)
-    windows = _windows(config, slack_default=_ENVELOPE_SLACK_DEFAULT)
-    grid = _build_grid(args, config)
-    G = preset(args.group or "sl2c")
+def _run_dichotomy(opts, out):
+    params = _witness_params(opts)
+    theta_name = opts.get("counterexample.theta", "theta_log")
+    windows = _windows(opts, _ENVELOPE_SLACK_DEFAULT)
+    group = opts.get("group", "sl2c")
+    grid = _grid(opts, DEFAULT_GRID)
+    opts.seal()
+    G = preset(group)
     f = build_initial_data(params, G, grid)
     report = theorem_dichotomy_experiment(
-        G, theta, f, params.t0, n_windows=windows["count"],
-        slack=windows["slack"])
+        G, profiles.profile_from_config(theta_name), f, params.t0, **windows)
     io.write_json(out / "report.json", report.to_json_dict())
     results = {
         "verdict": report.verdict,
@@ -369,103 +375,93 @@ def _run_dichotomy(args, config, out):
         "monotone_growth": report.monotone_growth,
         "constants": [float(c) for c in report.constants],
     }
-    effective = {
-        "counterexample": {**params.to_json_dict(), "theta": theta_name},
-        "grid": _grid_dict(grid), "windows": windows,
-        "group": G.name,
-    }
     print(f"[dichotomy] theta={theta_name}: {report.verdict}, window "
           f"constants grow x{report.growth_factor:.3g}")
-    return results, effective, ["report.json"], report.verdict
+    return results, ["report.json"], report.verdict
 
 
-def _run_classify(args, config, out):
-    profile, name, params = _named_profile(args, config, "theta_log")
-    diagnostics = profiles.classify_integral(profile)
+def _run_classify(opts, out):
+    name, params = _named(opts, "profile", "theta_log")
+    opts.seal()
+    diagnostics = profiles.classify_integral(
+        profiles.profile_from_config(name, params))
     io.write_json(out / "classification.json", diagnostics.to_json_dict())
     results = {"verdict": diagnostics.verdict,
                "stopped_by": diagnostics.stopped_by}
-    effective = {"profile": {"name": name, "params": params}}
     print(f"[classify] {name}: {diagnostics.verdict} "
           f"(stopped by {diagnostics.stopped_by})")
-    return results, effective, ["classification.json"], None
+    return results, ["classification.json"], None
 
 
-_RUNNERS = {
-    "construct": _run_construct,
-    "transform": _run_transform,
-    "evolve": _run_evolve,
-    "verify": _run_verify,
-    "counterexample": _run_counterexample,
-    "dichotomy": _run_dichotomy,
-    "classify": _run_classify,
+# flags as (flag, config path, add_argument keywords); --config and --out
+# come with every subcommand, --expect-holds with those that give a verdict
+_FLOAT = {"type": float}
+_PROFILE = ("--profile", "profile.name", {"help": "decay profile name"})
+_INITIAL = ("--initial", "initial.name", {"help": "initial profile name"})
+_GROUP = ("--group", "group", {"help": "group preset"})
+_GRID_FLAGS = (("--grid-points", "grid.points", {"type": int}),
+               ("--grid-radius", "grid.radius", _FLOAT))
+_WITNESS_FLAGS = (("--alpha", "counterexample.alpha", _FLOAT),
+                  ("--eta", "counterexample.eta", _FLOAT),
+                  ("--t0", "counterexample.t0", _FLOAT),
+                  ("--beta-prime", "counterexample.beta_prime", _FLOAT),
+                  ("--theta-profile", "counterexample.theta",
+                   {"help": "theta profile name (theta-decay mode)"}))
+
+# name: (runner, help, gives a verdict, flags)
+_SUBCOMMANDS = {
+    "construct": (_run_construct, "build and realize a sinc product", True,
+                  (_PROFILE, *_GRID_FLAGS)),
+    "transform": (_run_transform, "Fourier or spherical transform", False,
+                  (_INITIAL, _GROUP,
+                   ("--probe", "probe", {"type": int, "help": (
+                       "check N frequencies against the direct oracle")}),
+                   ("--seed", "seed", {"type": int, "help": (
+                       "seed for randomized probe selection")}),
+                   *_GRID_FLAGS)),
+    "evolve": (_run_evolve, "run the Schrodinger flow", False,
+               (_INITIAL, _GROUP, ("--t0", "schrodinger.t0", _FLOAT),
+                ("--c", "schrodinger.c", _FLOAT),
+                ("--path", "schrodinger.path",
+                 {"choices": ["spectral", "closed"]}),
+                *_GRID_FLAGS)),
+    "verify": (_run_verify, "decay certificate for a sinc product", True,
+               (_PROFILE,)),
+    "counterexample": (_run_counterexample,
+                       "witness pipeline with envelope verdicts", True,
+                       (*_WITNESS_FLAGS,
+                        ("--mode", "counterexample.mode",
+                         {"choices": [MODE_THETA, MODE_LINEAR]}),
+                        *_GRID_FLAGS)),
+    "dichotomy": (_run_dichotomy, "full-weight envelope on nonzero data",
+                  True, (*_WITNESS_FLAGS, _GROUP, *_GRID_FLAGS)),
+    "classify": (_run_classify, "dyadic convergence test", False,
+                 (_PROFILE,)),
 }
 
 
-def _common_flags(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--grid-points", type=int, default=None)
-    sub.add_argument("--grid-radius", type=float, default=None)
-    sub.add_argument("--expect-holds", action="store_true",
-                     help="exit 2 unless the verdict is HOLDS")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for randomized probe selection")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every other configuration error does."""
 
-
-def _witness_flags(sub):
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--eta", type=float, default=None)
-    sub.add_argument("--t0", type=float, default=None)
-    sub.add_argument("--beta-prime", type=float, default=None)
-    sub.add_argument("--theta-profile", help="theta profile name")
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="inghamlab",
         description="decay-envelope and Schrodinger-flow experiments")
     subs = parser.add_subparsers(dest="subcommand")
-
-    p = subs.add_parser("construct", help="build and realize a sinc product")
-    p.add_argument("--profile", help="decay profile name")
-    _common_flags(p)
-
-    p = subs.add_parser("transform", help="Fourier or spherical transform")
-    p.add_argument("--initial", help="initial profile name")
-    p.add_argument("--group", help="group preset (spherical transform)")
-    p.add_argument("--probe", type=int, default=None,
-                   help="check N frequencies against the direct oracle")
-    _common_flags(p)
-
-    p = subs.add_parser("evolve", help="run the Schrodinger flow")
-    p.add_argument("--initial", help="initial profile name")
-    p.add_argument("--group", help="group preset (model-space flow)")
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--path", choices=["spectral", "closed"], default=None)
-    _common_flags(p)
-
-    p = subs.add_parser("verify", help="decay certificate for a sinc product")
-    p.add_argument("--profile", help="decay profile name")
-    _common_flags(p)
-
-    p = subs.add_parser("counterexample",
-                        help="witness pipeline with envelope verdicts")
-    _witness_flags(p)
-    p.add_argument("--mode", choices=[MODE_THETA, MODE_LINEAR], default=None)
-    _common_flags(p)
-
-    p = subs.add_parser("dichotomy",
-                        help="full-weight envelope on nonzero data")
-    _witness_flags(p)
-    p.add_argument("--group", help="group preset")
-    _common_flags(p)
-
-    p = subs.add_parser("classify", help="dyadic convergence test")
-    p.add_argument("--profile", help="decay profile name")
-    _common_flags(p)
-
+    for name, (_, help_, verdict, flags) in _SUBCOMMANDS.items():
+        p = subs.add_parser(name, help=help_)
+        for flag, path, keywords in flags:
+            p.add_argument(flag, dest=path, **keywords)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", default="out", help="output directory")
+        if verdict:
+            p.add_argument("--expect-holds", action="store_true",
+                           help="exit 2 unless the verdict is HOLDS")
     return parser
 
 
@@ -484,13 +480,14 @@ def main(argv=None) -> int:
         print(f"error: config rejected: {exc.message}", file=sys.stderr)
         return 1
 
+    runner, _, _, flags = _SUBCOMMANDS[args.subcommand]
+    opts = _Options({path: (flag, getattr(args, path))
+                     for flag, path, _ in flags}, config)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        results, effective, outputs, verdict = _RUNNERS[args.subcommand](
-            args, config, out)
-        effective["subcommand"] = args.subcommand
-        manifest = io.build_manifest(args.subcommand, effective, results,
+        results, outputs, verdict = runner(opts, out)
+        manifest = io.build_manifest(args.subcommand, opts.record, results,
                                      outputs)
         io.write_json(out / "manifest.json", manifest)
     except ValueError as exc:
@@ -500,7 +497,7 @@ def main(argv=None) -> int:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 1
 
-    if args.expect_holds and verdict is not None and verdict != HOLDS:
+    if getattr(args, "expect_holds", False) and verdict != HOLDS:
         print(f"verdict {verdict} but HOLDS expected", file=sys.stderr)
         return 2
     return 0

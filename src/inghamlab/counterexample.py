@@ -29,16 +29,14 @@ from scipy.optimize import brentq
 
 from .envelopes import HOLDS, EnvelopeReport, fit_dyadic
 from .grids import Grid, SampledFunction
-from .groups import GroupModel, WallSingularityError, phi0, phi_weight, sl2c
+from .groups import (GroupModel, WallSingularityError, default_grid, phi0,
+                     phi_weight, sl2c)
 from .initialdata import smooth_bump
 from .profiles import DecayProfile, ProfileKind, theta_log
 from .schrodinger import SchrodingerParams, evolve_group_closed_form
 
 MODE_THETA = "theta-decay"
 MODE_LINEAR = "linear-decay"
-
-DEFAULT_GRID_RADIUS = 32.0
-DEFAULT_GRID_POINTS = 2 ** 14
 
 # window fallback when the theta threshold radius is far off the grid;
 # past the data's support and the phi0 transition at desk scale
@@ -83,11 +81,6 @@ class CounterexampleParams:
             "beta_prime": self.beta_prime,
             "t0": self.t0,
         }
-
-
-def default_grid() -> Grid:
-    return Grid.symmetric(DEFAULT_GRID_RADIUS, DEFAULT_GRID_POINTS,
-                          offset=True)
 
 
 def build_bump(beta_prime: float, beta: float, grid: Grid) -> SampledFunction:
@@ -328,21 +321,13 @@ def theorem_dichotomy_experiment(G: GroupModel, theta: DecayProfile,
     must refute it: window constants grow without bound.  Zero data or
     a convergent theta with matched data can satisfy it.
     """
-    u = evolve_zero_safe(G, f, t0)
+    u = evolve_group_closed_form(G, f, SchrodingerParams(t0=float(t0)))
     ratio = _envelope_ratio(G, u, 1.0, lambda b: b * theta(b))
     report = fit_dyadic(u.grid.nodes, ratio, window_start,
                         n_windows=n_windows, slack=slack,
                         meta={"theta": theta.name, "t0": float(t0),
                               "alpha_fit": 1.0, "source": f.label})
     return report
-
-
-def evolve_zero_safe(G: GroupModel, f: SampledFunction,
-                     t0: float) -> SampledFunction:
-    """Closed-form flow that also accepts identically zero data."""
-    if not np.any(f.values):
-        return f.with_values(np.zeros_like(f.values))
-    return evolve_group_closed_form(G, f, SchrodingerParams(t0=float(t0)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -79,6 +79,14 @@ def sl2c() -> GroupModel:
 
 _PRESETS = {"sl2c": sl2c}
 
+# (radius, points, offset) of the model-space grid: half-step nodes keep
+# the wall H = 0, where phi vanishes, off the grid
+DEFAULT_GRID = (32.0, 2 ** 14, True)
+
+
+def default_grid() -> Grid:
+    return Grid.symmetric(*DEFAULT_GRID)
+
 
 def preset(name: str) -> GroupModel:
     return registry_lookup(_PRESETS, "group preset", name)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import inghamlab as il
-from inghamlab.counterexample import default_grid
+from inghamlab.groups import default_grid
 
 DEFAULT_PARAMS = dict(alpha=0.5, eta=0.25, t0=1.0)
 

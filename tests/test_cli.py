@@ -20,8 +20,17 @@ def test_no_subcommand_prints_usage(capsys):
 
 
 def test_unknown_subcommand_is_a_parse_error():
-    with pytest.raises(SystemExit):
+    # usage errors exit 1 like every configuration error; 2 is a verdict
+    with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--help"])
+    assert exc.value.code == 0
+    assert "--profile" in capsys.readouterr().out
 
 
 def test_classify_flags_divergent_profile(tmp_path, capsys):
@@ -266,3 +275,129 @@ def test_expect_holds_exits_two_on_fails(tmp_path, capsys):
     # the report is still written before the gate fires
     assert (out / "report.json").exists()
     assert _manifest(out)["results"]["verdict"] == "FAILS"
+
+
+# first runs of the round trip; small grids keep each under a second
+_ROUND_TRIPS = {
+    "construct": ["construct", "--grid-points", "2048"],
+    "verify": ["verify", "--profile", "psi_power"],
+    "transform-line": ["transform", "--grid-points", "1024", "--probe", "4",
+                       "--seed", "3"],
+    "transform-group": ["transform", "--group", "sl2c", "--grid-points",
+                        "2048", "--probe", "4"],
+    "evolve": ["evolve", "--group", "sl2c", "--grid-points", "2048",
+               "--path", "closed", "--t0", "0.7"],
+    "counterexample-theta": ["counterexample", "--grid-points", "4096",
+                             "--alpha", "0.3"],
+    "counterexample-linear": ["counterexample", "--grid-points", "4096",
+                              "--mode", "linear-decay"],
+    "dichotomy": ["dichotomy", "--grid-points", "4096", "--eta", "0.3"],
+    "classify": ["classify", "--profile", "psi_linear"],
+}
+
+
+def _same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+@pytest.mark.parametrize("case", sorted(_ROUND_TRIPS))
+def test_manifest_config_reruns_the_run(tmp_path, case):
+    argv = _ROUND_TRIPS[case]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*argv, "--out", str(first)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_manifest(first)["config"]))
+    assert main([argv[0], "--config", str(config),
+                 "--out", str(second)]) == 0
+    _same_files(first, second)
+
+
+def test_group_from_config_matches_group_flag(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"group": "sl2c"}))
+    flag, conf = tmp_path / "flag", tmp_path / "conf"
+    assert main(["transform", "--group", "sl2c", "--grid-points", "2048",
+                 "--out", str(flag)]) == 0
+    assert main(["transform", "--config", str(config), "--grid-points",
+                 "2048", "--out", str(conf)]) == 0
+    _same_files(flag, conf)
+
+
+_REMOVED_FLAGS = (
+    [(sub, ["--seed", "1"]) for sub in ("construct", "verify", "evolve",
+                                        "counterexample", "dichotomy",
+                                        "classify")]
+    + [(sub, ["--expect-holds"]) for sub in ("transform", "evolve",
+                                             "classify")]
+    + [(sub, [flag, "3"]) for sub in ("verify", "classify")
+       for flag in ("--grid-points", "--grid-radius")])
+
+
+@pytest.mark.parametrize("sub,flags", _REMOVED_FLAGS,
+                         ids=[f"{sub}{flags[0]}" for sub, flags in
+                              _REMOVED_FLAGS])
+def test_removed_flags_are_usage_errors(tmp_path, sub, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, *flags, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert not (tmp_path / "out").exists()
+
+
+_UNREAD_CONFIGS = [
+    ("construct", {"initial": {"name": "gaussian"}, "probe": 3},
+     "config initial.name, config probe"),
+    ("construct", {"group": "sl2c"}, "config group"),
+    ("construct", {"seed": 1}, "config seed"),
+    ("verify", {"grid": {"points": 4096}}, "config grid.points"),
+    ("transform", {"profile": {"params": {"exponent": 0.5}}},
+     "config profile.params.exponent"),
+    ("transform", {"windows": {"count": 3}}, "config windows.count"),
+    ("evolve", {"probe": 3}, "config probe"),
+    ("evolve", {"counterexample": {"t0": 1.0}}, "config counterexample.t0"),
+    ("counterexample", {"windows": {"xi0": 64.0}}, "config windows.xi0"),
+    ("counterexample", {"group": "sl2c"}, "config group"),
+    ("counterexample", {"schrodinger": {"t0": 1.0}},
+     "config schrodinger.t0"),
+    ("counterexample", {"counterexample": {"mode": "linear-decay",
+                                           "theta": "theta_log"}},
+     "config counterexample.theta"),
+    ("dichotomy", {"windows": {"xi0": 64.0}}, "config windows.xi0"),
+    ("dichotomy", {"counterexample": {"mode": "theta-decay"}},
+     "config counterexample.mode"),
+    ("classify", {"grid": {"radius": 16.0}}, "config grid.radius"),
+    ("classify", {"windows": {"slack": 0.5}}, "config windows.slack"),
+]
+
+
+@pytest.mark.parametrize("sub,config,named", _UNREAD_CONFIGS,
+                         ids=[f"{sub}-{named.replace('config ', '').replace(', ', '+')}"
+                              for sub, _, named in _UNREAD_CONFIGS])
+def test_unread_config_entries_are_refused(tmp_path, capsys, sub, config,
+                                           named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: not read by this run: {named}\n"
+    assert not list(out.iterdir())
+
+
+def test_theta_profile_is_refused_in_linear_mode(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["counterexample", "--mode", "linear-decay", "--theta-profile",
+               "theta_log_sq", "--out", str(out)])
+    assert rc == 1
+    assert "not read by this run: --theta-profile" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_window_start_is_not_a_config_key(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"windows": {"start": 3.0}}))
+    rc = main(["counterexample", "--config", str(path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "'start' was unexpected" in capsys.readouterr().err

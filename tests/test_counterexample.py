@@ -10,10 +10,9 @@ from inghamlab.construct import realize_function, spec_from_theta
 from inghamlab.counterexample import (
     MODE_LINEAR, MODE_THETA, CounterexampleParams, SupportTouchesZeroError,
     build_bump, build_initial_data, certify_decay_chain, compute_thresholds,
-    default_grid, evolve_zero_safe, theorem_dichotomy_experiment,
-    verify_envelope)
+    theorem_dichotomy_experiment, verify_envelope)
 from inghamlab.envelopes import FAILS, HOLDS
-from inghamlab.groups import WallSingularityError, phi_weight
+from inghamlab.groups import WallSingularityError, default_grid, phi_weight
 from inghamlab.profiles import DecayProfile, ProfileKind
 
 
@@ -257,7 +256,8 @@ def test_decay_chain_default_witness(witness_params, sl2c, theta_pipeline):
 def ongrid_solution(sl2c, offset_grid):
     p = CounterexampleParams(alpha=0.1, eta=0.85)
     f = build_initial_data(p, sl2c, offset_grid)
-    return p, evolve_zero_safe(sl2c, f, p.t0)
+    return p, il.evolve_group_closed_form(sl2c, f,
+                                          il.SchrodingerParams(t0=p.t0))
 
 
 def test_decay_chain_on_grid_threshold(sl2c, ongrid_solution):
@@ -315,14 +315,6 @@ def test_dichotomy_convergent_theta_admits_data(sl2c, offset_grid):
     assert rep.verdict == HOLDS
     assert np.all(np.diff(rep.constants) < 0)
     assert rep.growth_factor < 1e-3
-
-
-def test_evolve_zero_safe_passes_zero_through(sl2c, offset_grid):
-    f = il.SampledFunction(offset_grid,
-                           np.zeros(offset_grid.n_points, dtype=complex))
-    u = evolve_zero_safe(sl2c, f, 0.7)
-    assert u.grid == offset_grid
-    assert np.all(u.values == 0.0)
 
 
 def test_witness_far_nodes_match_sine_quadrature(sl2c, offset_grid):

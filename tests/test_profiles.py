@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import inghamlab as il
 from inghamlab.profiles import (MAX_TERMS, VERDICT_CONVERGENT,
-                                VERDICT_DIVERGENT)
+                                VERDICT_DIVERGENT, theta_from_psi)
 
 
 def test_registry_contents():
@@ -38,6 +38,27 @@ def test_psi_profiles_nondecreasing():
     for name in ("psi_power", "psi_linear", "psi_log_damped", "psi_zero"):
         vals = il.PROFILES[name]()(r)
         assert np.all(np.diff(vals) >= 0)
+
+
+# every registered profile at its defaults, and psi_power and psi_linear
+# at the ends of the parameter ranges the tests and the benchmark draw
+_PROFILE_CASES = [(name, {}) for name in sorted(il.PROFILES)] + [
+    ("psi_power", {"exponent": 0.01}), ("psi_power", {"exponent": 1.0}),
+    ("psi_linear", {"slope": 0.5}), ("psi_linear", {"slope": 3.0})]
+
+
+@pytest.mark.parametrize("name,params", _PROFILE_CASES,
+                         ids=[f"{n}{list(p.values())}"
+                              for n, p in _PROFILE_CASES])
+def test_theta_nonincreasing_between_dyadic_nodes(name, params):
+    # classification.json's integral_bracket assumes theta (psi/r for psi
+    # profiles) nonincreasing on each octave, not only at the nodes 2**k
+    profile = il.profile_from_config(name, params)
+    theta = (profile if profile.kind is il.ProfileKind.THETA_DECREASING
+             else theta_from_psi(profile))
+    vals = theta(np.geomspace(2.0, 2.0 ** 1000, 1000 * 32 + 1))
+    assert np.all(np.isfinite(vals))
+    assert np.all(np.diff(vals) <= 1e-12 * vals[:-1])
 
 
 def test_validation_rejects_wrong_monotonicity():

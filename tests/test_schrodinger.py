@@ -192,6 +192,14 @@ def test_group_closed_form_requires_offset_grid(sl2c):
         il.evolve_group_closed_form(sl2c, f, il.SchrodingerParams(t0=0.5))
 
 
+def test_group_closed_form_passes_zero_through(sl2c, offset_grid):
+    f = il.SampledFunction(offset_grid,
+                           np.zeros(offset_grid.n_points, dtype=complex))
+    u = il.evolve_group_closed_form(sl2c, f, il.SchrodingerParams(t0=0.7))
+    assert u.grid == offset_grid
+    assert np.all(u.values == 0.0)
+
+
 def test_group_mode_rejects_potential(sl2c, group_grid):
     f = il.SampledFunction.from_callable(group_grid, lambda H: np.exp(-H ** 2))
     with pytest.raises(ValueError):
