@@ -101,12 +101,25 @@ _CERT_SLACK_DEFAULT = 0.5
 _ENVELOPE_SLACK_DEFAULT = 0.10
 
 
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
+def _check_schema(config: dict) -> None:
+    """Refuse ``config`` with the error ``jsonschema.validate`` would pick."""
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise ValueError(f"config rejected: {error.message}")
+
+
 def _load_config(path):
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    jsonschema.validate(config, CONFIG_SCHEMA)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read config: {exc}") from exc
+    _check_schema(config)
     return config
 
 
@@ -114,7 +127,8 @@ class _Options:
     """The options of one run, each resolved flag -> config -> default.
 
     ``get`` records every value it returns, None aside, under its config
-    path; the records are the run's manifest config.  ``seal`` ends
+    path, and refuses a record that breaks ``CONFIG_SCHEMA``; the records
+    are the run's manifest config.  ``seal`` ends
     resolution and refuses any given flag or config entry that no ``get``
     read, so a manifest never lists an input that the run ignored.
     """
@@ -146,6 +160,7 @@ class _Options:
         for key in keys[:-1]:
             node = node.setdefault(key, {})
         node[keys[-1]] = value
+        _check_schema(self.record)  # flags meet the config's bounds too
         return value
 
     def seal(self) -> None:
@@ -262,12 +277,6 @@ def _run_verify(opts, out):
     return results, ["spec.json", "certificate.json"], cert.verdict
 
 
-def _probe_frequencies(rng, xi, count):
-    take = min(count, xi.size)
-    idx = np.sort(rng.choice(xi.size, size=take, replace=False))
-    return idx
-
-
 def _run_transform(opts, out):
     group = opts.get("group")
     grid = _grid(opts, DEFAULT_GRID if group else _LINE_GRID)
@@ -287,8 +296,9 @@ def _run_transform(opts, out):
         fast, oracle, weight = fourier_transform, fourier_transform_direct, 1.0
     spectrum = fast(f)
     if probe:
-        rng = np.random.default_rng(seed)
-        idx = _probe_frequencies(rng, spectrum.xi_values, probe)
+        n = spectrum.xi_values.size
+        idx = np.sort(np.random.default_rng(seed).choice(
+            n, size=min(probe, n), replace=False))
         direct = oracle(f, spectrum.xi_values[idx])
         # data whose transform vanishes (odd data on the group) is
         # measured against the a-priori bound instead of max |F| = 0
@@ -471,20 +481,12 @@ def main(argv=None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return 1
-    try:
-        config = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    except jsonschema.ValidationError as exc:
-        print(f"error: config rejected: {exc.message}", file=sys.stderr)
-        return 1
-
     runner, _, _, flags = _SUBCOMMANDS[args.subcommand]
-    opts = _Options({path: (flag, getattr(args, path))
-                     for flag, path, _ in flags}, config)
     out = Path(args.out)
     try:
+        opts = _Options({path: (flag, getattr(args, path))
+                         for flag, path, _ in flags},
+                        _load_config(args.config))
         out.mkdir(parents=True, exist_ok=True)
         results, outputs, verdict = runner(opts, out)
         manifest = io.build_manifest(args.subcommand, opts.record, results,

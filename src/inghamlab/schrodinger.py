@@ -16,11 +16,13 @@ the invariant Laplacian
 
     L u = phi^{-1} [ (1/b^2) (u phi)'' - |rho|_B^2 (u phi) ],
 
-with i du/dt = -L u.  The group flow also has a closed form: u phi is a
-Euclidean-style chirp transform of g_f = exp(i |Y|_B^2 / (4t)) f phi.
-Its scalar prefactor is not hard coded; it is calibrated once per model
-against the spectral path and cached, which keeps the two paths honest
-against each other.
+with i du/dt = -L u.  Conjugation by phi turns L into a line operator,
+
+    phi L phi^{-1} = b^{-2} d^2/dH^2 - |rho|_B^2,
+
+so u phi is the line flow of f phi at time t/b^2, times
+exp(-i t |rho|_B^2): the closed form of the group flow is the closed
+form on the line, with no constant of its own.
 """
 from __future__ import annotations
 
@@ -76,9 +78,9 @@ def kernel_gamma(params: SchrodingerParams, x) -> np.ndarray:
     _require_nonzero_time(params)
     t = params.t0
     x = np.asarray(x, dtype=float)
-    amp = (4.0 * np.pi * abs(t)) ** -0.5
-    phase = np.exp(-1j * params.c * t) * np.exp(-1j * np.sign(t) * np.pi / 4.0)
-    return amp * phase * np.exp(1j * x * x / (4.0 * t))
+    pref = ((4.0 * np.pi * abs(t)) ** -0.5 * np.exp(-1j * params.c * t)
+            * np.exp(-1j * np.sign(t) * np.pi / 4.0))
+    return pref * np.exp(1j * x * x / (4.0 * t))
 
 
 def _warn_on_tail(xi: np.ndarray, spectral_values: np.ndarray, what: str):
@@ -110,9 +112,9 @@ def evolve_closed_form(f: SampledFunction,
                        params: SchrodingerParams) -> SampledFunction:
     """Chirp-transform-chirp form of the line flow, t0 != 0.
 
-    u(x) = gamma-prefactor * exp(i x^2/4t) * hhat(x/2t) with
-    h(y) = exp(i y^2/4t) f(y).  The frequencies x/2t form a uniform set
-    that is not the FFT dual, so hhat runs on the chirp-z path of
+    u(x) = gamma_{c,t}(x) * hhat(x/2t) with h(y) = exp(i y^2/4t) f(y).
+    The frequencies x/2t form a uniform set that is not the FFT dual, so
+    hhat runs on the chirp-z path of
     :func:`inghamlab.fourier.fourier_transform`: a second opinion on the
     spectral route rather than a reshuffling of the same FFT.  For
     t0 < 0 the set is summed reversed, since frequency sets ascend.
@@ -127,9 +129,7 @@ def evolve_closed_form(f: SampledFunction,
     hhat = fourier_transform(SampledFunction(f.grid, h_vals),
                              xi[::-1] if flip else xi)
     vals = hhat.values[::-1] if flip else hhat.values
-    pref = ((4.0 * np.pi * abs(t)) ** -0.5 * np.exp(-1j * params.c * t)
-            * np.exp(-1j * np.sign(t) * np.pi / 4.0))
-    return f.with_values(pref * chirp * vals)
+    return f.with_values(kernel_gamma(params, x) * vals)
 
 
 def _require_zero_c(params: SchrodingerParams):
@@ -159,12 +159,14 @@ _calibration_cache: dict[tuple, complex] = {}
 
 
 def calibrate_group_constant(G: GroupModel, time_sign: float = 1.0) -> complex:
-    """Scalar prefactor of the closed-form model-space flow.
+    """Spectral check of the closed-form model-space flow's constant.
 
-    Determined by matching the closed form against the spectral path on
-    a reference Gaussian at the node where |u phi| peaks, then cached
-    per model and time direction.  The modulus lands on b/(2 sqrt(pi))
-    and the phase on -sign(t) pi/4; tests pin both.
+    The closed form's scalar prefactor, measured by matching a bare
+    chirp transform against the spectral path on a reference Gaussian
+    at the node where |u phi| peaks, then cached per model and time
+    direction.  No flow calls it any more: the closed form takes the
+    constant from the line kernel, b/(2 sqrt(pi)) exp(-i sign(t) pi/4),
+    and tests pin the measured value to that.
     """
     sign = 1.0 if time_sign >= 0.0 else -1.0
     key = (G, sign)
@@ -200,15 +202,14 @@ def calibrate_group_constant(G: GroupModel, time_sign: float = 1.0) -> complex:
 
 def evolve_group_closed_form(G: GroupModel, f: SampledFunction,
                              params: SchrodingerParams) -> SampledFunction:
-    """Chirp form of the model-space flow, t0 != 0.
+    """Closed form of the model-space flow, t0 != 0.
 
-    Evolves the Weyl average of f, as the spectral path does.  Keeps
-    relative accuracy out to the far nodes, where the spectral path
-    drowns in the additive noise floor of the inverse transform; the
-    decay pipelines therefore run on this path.  The transform of g_f
-    at the uniform set b^2 H / 2t runs on the chirp-z path of
-    :func:`inghamlab.fourier.fourier_transform`, whose exactly reduced
-    phases keep that accuracy; for t0 < 0 the set is summed reversed.
+    u = exp(-i t0 |rho|_B^2) * U_line(t0 / b^2)[f_sym phi] / phi, where
+    U_line is :func:`evolve_closed_form` and f_sym the Weyl average of
+    f, which the spectral path evolves too.  Keeps relative accuracy out
+    to the far nodes, where the spectral path drowns in the additive
+    noise floor of the inverse transform; the decay pipelines therefore
+    run on this path.
     """
     _require_zero_c(params)
     _require_nonzero_time(params)
@@ -216,20 +217,11 @@ def evolve_group_closed_form(G: GroupModel, f: SampledFunction,
         raise WallSingularityError(
             "closed-form flow divides by phi; use a half-step grid")
     t = params.t0
-    H = f.grid.nodes
-    phi = phi_weight(G, H)
-    b = G.b
-    chirp = np.exp(1j * G.b_norm(H) ** 2 / (4.0 * t))
-    g_f = chirp * symmetrize(f).values * phi
-    xi = b * b * H / (2.0 * t)
-    flip = t < 0.0
-    ghat = fourier_transform(SampledFunction(f.grid, g_f),
-                             xi[::-1] if flip else xi)
-    vals = ghat.values[::-1] if flip else ghat.values
-    constant = calibrate_group_constant(G, np.sign(t))
-    u_phi = (constant * abs(t) ** -0.5
-             * np.exp(-1j * t * G.rho_b_norm_sq) * chirp * vals)
-    return f.with_values(u_phi / phi)
+    phi = phi_weight(G, f.grid.nodes)
+    g = symmetrize(f).values * phi
+    w = evolve_closed_form(f.with_values(g),
+                           SchrodingerParams(t0=t / (G.b * G.b)))
+    return f.with_values(np.exp(-1j * t * G.rho_b_norm_sq) * w.values / phi)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 import filecmp
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
 from inghamlab import construct
-from inghamlab.cli import main
+from inghamlab.cli import CONFIG_SCHEMA, main
 
 
 def _manifest(out_dir):
@@ -173,6 +174,37 @@ def test_config_missing_file(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_config_schema_is_valid():
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+# (flag, value, the same value as config, message)
+_OUT_OF_BOUNDS = [
+    ("--probe", "-1", {"probe": -1}, "-1 is less than the minimum of 0"),
+    ("--grid-points", "1", {"grid": {"points": 1}},
+     "1 is less than the minimum of 2"),
+    ("--grid-radius", "0", {"grid": {"radius": 0.0}},
+     "0.0 is less than or equal to the minimum of 0"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag,value,config,message", _OUT_OF_BOUNDS,
+                         ids=[case[0] for case in _OUT_OF_BOUNDS])
+def test_flag_values_meet_the_config_bounds(tmp_path, capsys, source, flag,
+                                            value, config, message):
+    if source == "flag":
+        given = [flag, value]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        given = ["--config", str(path)]
+    out = tmp_path / "out"
+    assert main(["transform", *given, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config rejected: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_unknown_initial_profile(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import inghamlab as il
+from inghamlab import schrodinger
 from inghamlab.schrodinger import kernel_gamma
 
 HELD_OUT = [
@@ -89,12 +90,14 @@ def test_aliasing_warning_on_undersampled_spectrum():
 
 
 def test_calibration_constant_pins_analytic_value(sl2c):
+    # the constant the closed form takes from the line kernel,
+    # b/(2 sqrt(pi)) exp(-i pi/4), against its spectral measurement
     expect = (2.0 / np.sqrt(np.pi)) * np.exp(-1j * np.pi / 4)
     got = il.calibrate_group_constant(sl2c)
-    assert abs(got - expect) <= 1e-10
+    assert abs(got - expect) <= 1e-14
     # negative times flip the stationary-phase branch
     got_neg = il.calibrate_group_constant(sl2c, time_sign=-1.0)
-    assert abs(got_neg - np.conj(expect)) <= 1e-10
+    assert abs(got_neg - np.conj(expect)) <= 1e-14
     # cached: the same object comes back
     assert il.calibrate_group_constant(sl2c) is got
 
@@ -126,6 +129,25 @@ def test_group_closed_form_evolves_weyl_average(sl2c, group_grid, t0):
     u_sp = il.evolve_group_spectral(sl2c, f, p)
     u_cl = il.evolve_group_closed_form(sl2c, f, p)
     assert _max_rel_dev(u_cl.values, u_sp.values) <= 1e-8
+
+
+@pytest.mark.parametrize("t0", [0.9, -0.9])
+def test_group_closed_form_needs_no_spectral_path(sl2c, group_grid,
+                                                  monkeypatch, t0):
+    # the closed form is the line closed form conjugated by phi; it must
+    # not lean on the spectral path that it is checked against
+    f = il.SampledFunction.from_callable(group_grid,
+                                         lambda H: np.exp(-(H - 1.0) ** 2))
+    p = il.SchrodingerParams(t0=t0)
+    want = il.evolve_group_closed_form(sl2c, f, p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed form reached the spectral path")
+
+    monkeypatch.setattr(schrodinger, "calibrate_group_constant", refuse)
+    monkeypatch.setattr(schrodinger, "evolve_group_spectral", refuse)
+    got = il.evolve_group_closed_form(sl2c, f, p)
+    assert np.array_equal(got.values, want.values)
 
 
 @pytest.mark.parametrize("sep,width,t0", [(4.7548, 1.4713, 0.902),
