@@ -1,30 +1,65 @@
 """Deterministic artifact writers: CSV for samples, JSON for reports.
 
-CSV cells use shortest-roundtrip float repr and rows follow grid order,
-so identical inputs produce bit-identical files.  JSON is written with
-sorted keys and no timestamps for the same reason; non-finite floats
-are stringified because strict JSON has no spelling for them.
+Every CSV cell is exactly ``repr(float(value))``: the shortest text that
+parses back to the same float64.  Rows follow grid order, so identical
+inputs produce bit-identical files.  The writer takes its digits from
+orjson's Ryu formatter, blocks of ``CSV_BLOCK_ROWS`` rows at a time so
+that memory stays bounded, and maps Ryu's notation onto ``repr``'s:
+exponents get a sign and two digits (``e16`` -> ``e+16``, ``e-6`` ->
+``e-06``), the decade [1e-5, 1e-4) that Ryu keeps positional becomes
+scientific (``0.0000123`` -> ``1.23e-05``), and the ``null`` orjson
+writes for a non-finite cell becomes ``nan``, ``inf`` or ``-inf``.
+
+JSON is written with sorted keys and no timestamps for the same reason;
+non-finite floats are stringified because strict JSON has no spelling
+for them.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .grids import SampledFunction, SpectralFunction
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+CSV_BLOCK_ROWS = 1 << 16
+
+# Ryu notation -> repr notation.  Literal templates and patterns that start
+# with a literal keep each pass fast; the look-behind skips "10.00001".
+_NOTATION = (
+    (re.compile(rb"e(?=[0-9])"), rb"e+"),
+    (re.compile(rb"e-(?=[0-9](?![0-9]))"), rb"e-0"),
+    (re.compile(rb"0\.0000(?<![0-9]0\.0000)([1-9])([0-9]*)"), rb"\1.\2e-05"),
+)
+
+
+def _csv_block(cells: np.ndarray) -> bytes:
+    """Rows ``a,b,c\n`` of an (n, 3) float64 block, each cell its repr."""
+    text = orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = text[2:-2].replace(b"],[", b"\n") + b"\n"
+    for pattern, template in _NOTATION:
+        text = pattern.sub(template, text)
+    text = text.replace(b".e-05", b"e-05")  # a one-digit mantissa has no dot
+    nonfinite = cells[~np.isfinite(cells)]
+    if nonfinite.size:
+        pieces = text.split(b"null")
+        text = pieces[0] + b"".join(repr(v).encode() + piece for v, piece
+                                    in zip(nonfinite.tolist(), pieces[1:]))
+    return text
 
 
 def _write_csv(path, coord: str, points, values) -> None:
-    lines = [f"{coord},re,im"]
-    for p, v in zip(points, values):
-        lines.append(f"{_fmt(p)},{_fmt(v.real)},{_fmt(v.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{coord},re,im\n".encode())
+        for start in range(0, len(values), CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            fh.write(_csv_block(np.stack(
+                (points[block], values[block].real, values[block].imag), axis=1)))
 
 
 def write_samples_csv(path, f: SampledFunction) -> None:

@@ -2,9 +2,35 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import inghamlab as il
 from inghamlab import io
+from inghamlab.cli import main
+
+
+def _reference_csv(coord, points, values) -> bytes:
+    """The CSV contract written out plainly: one repr per cell."""
+    rows = "".join("%r,%r,%r\n" % (float(p), float(v.real), float(v.imag))
+                   for p, v in zip(points, values))
+    return f"{coord},re,im\n{rows}".encode()
+
+
+def _columns(cells):
+    """Coordinates and complex values of (n, 3) rows; re + 1j*im would
+    turn an infinite imaginary part into a NaN real part."""
+    cells = np.asarray(cells, dtype=float).reshape(-1, 3)
+    values = np.empty(len(cells), dtype=complex)
+    values.real, values.imag = cells[:, 1], cells[:, 2]
+    return cells[:, 0], values
+
+
+def _assert_written_as_reference(tmp_path, cells):
+    points, values = _columns(cells)
+    path = tmp_path / "cells.csv"
+    io._write_csv(path, "x", points, values)
+    assert path.read_bytes() == _reference_csv("x", points, values)
 
 
 def test_samples_csv_format(tmp_path):
@@ -38,6 +64,51 @@ def test_csv_floats_roundtrip(tmp_path):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(rows[:, 0], g.nodes)
     np.testing.assert_array_equal(rows[:, 1], f.values.real)
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True,
+                       allow_subnormal=True, width=64)
+# each seam between repr's and Ryu's notation, signed zeros, non-finite
+# cells, and 10.00001, whose "0.00001" tail must stay positional
+_SEAMS = [1e-05, -1.5e-05, 9.999999999999999e-05, 0.0001, 1e-06, 1e-09,
+          1e-10, 9999999999999998.0, 1e16, 1e100, 5e-324,
+          1.7976931348623157e308, 10.00001, -0.0, 0.0, float("nan"),
+          float("inf"), float("-inf")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT), max_size=40))
+@example([tuple(_SEAMS[i:i + 3]) for i in range(0, len(_SEAMS), 3)])
+@example([(v, -v, v / 3) for v in _SEAMS])
+def test_csv_cells_are_repr(tmp_path_factory, rows):
+    _assert_written_as_reference(tmp_path_factory.mktemp("csv"), rows)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3, 4, 5, 11])
+def test_csv_blocks_join_seamlessly(tmp_path, monkeypatch, n_rows):
+    monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 4)
+    rng = np.random.default_rng(n_rows)
+    shape = (n_rows, 3)
+    cells = np.where(rng.random(shape) < 0.5, rng.choice(_SEAMS, shape),
+                     rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 20, shape))
+    _assert_written_as_reference(tmp_path, cells)
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--initial", "gaussian", "--probe", "4"],
+    ["evolve", "--group", "sl2c", "--path", "closed"],
+    ["construct"],
+], ids=["transform", "evolve-closed-group", "construct"])
+def test_cli_csv_artifacts_are_repr(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        written = path.read_bytes()
+        header, *lines = written.decode().splitlines()
+        points, values = _columns([[float(c) for c in line.split(",")]
+                                   for line in lines])
+        assert written == _reference_csv(header.split(",")[0], points, values)
 
 
 def test_jsonable_handles_numpy_and_complex():
