@@ -12,13 +12,10 @@ from .construct import (DivergentProfileError, GridTooSmallError,
                         evaluate_product_fourier, realize_function,
                         spec_from_psi, spec_from_theta,
                         support_mass_fractions)
-from .counterexample import (MODE_LINEAR, MODE_THETA, ChainReport,
-                             CounterexampleParams, PipelineResult,
-                             SupportTouchesZeroError, Thresholds,
-                             build_bump, build_initial_data,
-                             certify_decay_chain, compute_thresholds,
-                             run_pipeline, theorem_dichotomy_experiment,
-                             verify_envelope)
+from .counterexample import (MODE_LINEAR, MODE_THETA, CounterexampleParams,
+                             PipelineResult, SupportTouchesZeroError,
+                             build_bump, build_initial_data, run_pipeline,
+                             theorem_dichotomy_experiment, verify_envelope)
 from .envelopes import (FAILS, HOLDS, EnvelopeReport, WindowFit,
                         WindowTooSmallError, fit_dyadic, fit_nested)
 from .fourier import (fourier_transform, fourier_transform_direct,
@@ -45,26 +42,26 @@ from .schrodinger import (AliasingWarning, InvalidTimeError, ResidualReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasingWarning", "BoundaryLeakError", "ChainReport",
-    "CounterexampleParams", "DecayProfile", "DivergentProfileError",
-    "EnvelopeReport", "FAILS", "Grid", "GridTooSmallError", "GroupModel",
-    "HOLDS", "INITIAL_PROFILES", "IntegralDiagnostics", "InvalidDataError",
-    "InvalidTimeError", "MODE_LINEAR", "MODE_THETA", "PROFILES",
-    "PipelineResult", "ProfileError", "ProfileKind", "ResidualReport",
-    "SampledFunction", "SchrodingerParams", "SincProductSpec",
-    "SpectralFunction", "SphericalTransform", "SupportTouchesZeroError",
-    "Thresholds", "WallSingularityError", "WindowFit", "WindowTooSmallError",
+    "AliasingWarning", "BoundaryLeakError", "CounterexampleParams",
+    "DecayProfile", "DivergentProfileError", "EnvelopeReport", "FAILS",
+    "Grid", "GridTooSmallError", "GroupModel", "HOLDS", "INITIAL_PROFILES",
+    "IntegralDiagnostics", "InvalidDataError", "InvalidTimeError",
+    "MODE_LINEAR", "MODE_THETA", "PROFILES", "PipelineResult",
+    "ProfileError", "ProfileKind", "ResidualReport", "SampledFunction",
+    "SchrodingerParams", "SincProductSpec", "SpectralFunction",
+    "SphericalTransform", "SupportTouchesZeroError",
+    "WallSingularityError", "WindowFit", "WindowTooSmallError",
     "build_bump", "build_initial_data", "c_function", "c_inverse",
-    "calibrate_group_constant", "certify_decay_chain", "classify_integral",
-    "compute_thresholds", "decay_certificate", "evaluate_product_fourier",
-    "evolve_closed_form", "evolve_group_closed_form", "evolve_group_spectral",
-    "evolve_spectral", "fit_dyadic", "fit_nested", "fourier_transform",
+    "calibrate_group_constant", "classify_integral", "decay_certificate",
+    "evaluate_product_fourier", "evolve_closed_form",
+    "evolve_group_closed_form", "evolve_group_spectral", "evolve_spectral",
+    "fit_dyadic", "fit_nested", "fourier_transform",
     "fourier_transform_direct", "gaussian", "inverse_fourier_transform",
     "inverse_spherical", "kernel_gamma", "l2_norm", "pde_residual", "phi0",
     "phi_weight", "preset", "profile_from_config", "psi_from_theta",
     "psi_linear", "psi_log_damped", "psi_power", "psi_zero",
-    "realize_function", "run_pipeline", "sl2c",
-    "smooth_bump", "spec_from_psi", "spec_from_theta", "spectral_l2_norm",
+    "realize_function", "run_pipeline", "sl2c", "smooth_bump",
+    "spec_from_psi", "spec_from_theta", "spectral_l2_norm",
     "spherical_function", "spherical_transform_direct",
     "spherical_transform_reduced", "support_mass_fractions", "symmetrize",
     "theorem_dichotomy_experiment", "theta_log", "theta_log_sq",

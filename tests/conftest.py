@@ -53,5 +53,4 @@ def theta_pipeline(witness_params):
 
 @pytest.fixture(scope="session")
 def linear_pipeline(witness_params):
-    return il.run_pipeline(witness_params, il.MODE_LINEAR,
-                           with_companion=False)
+    return il.run_pipeline(witness_params, il.MODE_LINEAR)

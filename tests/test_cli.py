@@ -298,6 +298,44 @@ def test_counterexample_verdicts(tmp_path, capsys):
     assert report["report"]["verdict"] == "HOLDS"
 
 
+# witness runs whose windows must start at 2 whatever theta and eta are,
+# with the companion verdict and growth measured on the default grid
+_FIXED_START_RUNS = {
+    "theta_log_sq": (("--theta-profile", "theta_log_sq"), "HOLDS", 0.0629),
+    "alpha-0.1-eta-0.85": (("--alpha", "0.1", "--eta", "0.85"), "FAILS",
+                           787.7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIXED_START_RUNS))
+def test_counterexample_windows_start_at_two(tmp_path, case):
+    flags, companion, growth = _FIXED_START_RUNS[case]
+    out = tmp_path / "ce"
+    assert main(["counterexample", *flags, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    for key in ("report", "companion"):
+        assert [w["lo"] for w in report[key]["windows"]] == [2.0, 4.0, 8.0]
+    res = _manifest(out)["results"]
+    assert res["verdict"] == "HOLDS"
+    assert res["companion_verdict"] == companion
+    assert res["companion_growth_factor"] == pytest.approx(growth, rel=1e-3)
+
+
+@pytest.mark.parametrize("profile", ["psi_power", "psi_linear"])
+def test_psi_theta_profile_is_refused(tmp_path, capsys, profile):
+    errors = []
+    for sub in ("counterexample", "dichotomy"):
+        out = tmp_path / sub
+        rc = main([sub, "--theta-profile", profile, "--grid-points", "4096",
+                   "--out", str(out)])
+        assert rc == 1
+        assert not list(out.iterdir())
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "need a decreasing theta profile" in errors[0]
+    assert "is a psi profile" in errors[0]
+
+
 def test_expect_holds_exits_two_on_fails(tmp_path, capsys):
     out = tmp_path / "d"
     rc = main(["dichotomy", "--grid-points", "4096", "--out", str(out),

@@ -1,4 +1,4 @@
-"""Witness construction, thresholds, envelope pipeline, dichotomy."""
+"""Witness construction, envelope pipeline, dichotomy."""
 import math
 
 import numpy as np
@@ -9,8 +9,8 @@ import inghamlab as il
 from inghamlab.construct import realize_function, spec_from_theta
 from inghamlab.counterexample import (
     MODE_LINEAR, MODE_THETA, CounterexampleParams, SupportTouchesZeroError,
-    build_bump, build_initial_data, certify_decay_chain, compute_thresholds,
-    theorem_dichotomy_experiment, verify_envelope)
+    build_bump, build_initial_data, theorem_dichotomy_experiment,
+    verify_envelope)
 from inghamlab.envelopes import FAILS, HOLDS
 from inghamlab.groups import WallSingularityError, default_grid, phi_weight
 from inghamlab.profiles import DecayProfile, ProfileKind
@@ -129,63 +129,6 @@ def test_default_grid_shape():
     assert grid.x_max == 32.0 and grid.n_points == 2 ** 14
 
 
-# ---------------------------------------------------------------- thresholds
-
-def test_thresholds_theta_log_off_grid(witness_params, offset_grid):
-    th = compute_thresholds(witness_params, il.theta_log(), offset_grid)
-    # 1/log(e + 4 m1) = eta/4 has the closed-form root (e^16 - e)/4
-    assert th.m1 == pytest.approx((np.exp(16.0) - np.e) / 4.0, rel=1e-9)
-    assert th.m1_truncated          # far beyond the 32-radius grid
-    assert th.m2 == 1.0
-    assert th.window_start == 2.0
-
-
-def test_thresholds_snap_to_grid(offset_grid):
-    p = CounterexampleParams(alpha=0.1, eta=0.85)
-    theta = il.theta_log()
-    th = compute_thresholds(p, theta, offset_grid)
-    h = offset_grid.step
-    assert not th.m1_truncated
-    assert th.m1 == pytest.approx(26.97265625, abs=1e-12)
-    assert th.m1 / h == pytest.approx(round(th.m1 / h), abs=1e-9)
-    # strict on both sides of the snapped node
-    target = p.eta / 4.0
-    assert float(theta(4.0 * th.m1)) < target
-    assert float(theta(4.0 * (th.m1 - h))) >= target
-    assert th.window_start == th.m1
-
-
-def test_thresholds_linear_mode(witness_params, offset_grid):
-    th = compute_thresholds(witness_params, None, offset_grid, MODE_LINEAR)
-    assert th.m1 is None
-    assert th.m2 == 1.0 and th.window_start == 2.0 and not th.m1_truncated
-    assert th.to_json_dict()["m1"] is None
-
-
-def test_thresholds_fast_decay_short_circuits(witness_params, offset_grid):
-    theta = _theta_profile(lambda r: 1e-3 / (1.0 + np.asarray(r, float)))
-    th = compute_thresholds(witness_params, theta, offset_grid)
-    assert th.m1 == 1.0 and not th.m1_truncated
-    assert th.window_start == 2.0
-
-
-def test_thresholds_search_cap(witness_params, offset_grid):
-    theta = _theta_profile(lambda r: np.full_like(np.asarray(r, float), 0.2))
-    th = compute_thresholds(witness_params, theta, offset_grid)
-    assert np.isinf(th.m1) and th.m1_truncated
-    assert th.to_json_dict()["m1"] == "inf"
-
-
-def test_thresholds_input_validation(witness_params, offset_grid):
-    with pytest.raises(ValueError, match="unknown mode"):
-        compute_thresholds(witness_params, il.theta_log(), offset_grid,
-                           "exponential")
-    with pytest.raises(ValueError, match="theta"):
-        compute_thresholds(witness_params, None, offset_grid, MODE_THETA)
-    with pytest.raises(ValueError, match="decreasing"):
-        compute_thresholds(witness_params, il.psi_linear(), offset_grid)
-
-
 # ---------------------------------------------------------------- pipeline
 
 def test_theta_pipeline_envelope_holds(theta_pipeline):
@@ -197,7 +140,7 @@ def test_theta_pipeline_envelope_holds(theta_pipeline):
     assert rep.meta["alpha_fit"] == 0.5
     assert rep.meta["alpha_override"] is False
     assert rep.meta["theta"] == "theta_log"
-    assert rep.meta["thresholds"]["m1_truncated"] is True
+    assert [w.lo for w in rep.windows] == [2.0, 4.0, 8.0]
 
 
 def test_theta_pipeline_companion_fails(theta_pipeline):
@@ -223,51 +166,25 @@ def test_theta_pipeline_fields(theta_pipeline, witness_params):
 def test_linear_pipeline_envelope_holds(linear_pipeline):
     rep = linear_pipeline.report
     assert rep.verdict == HOLDS
-    assert linear_pipeline.companion is None
+    assert linear_pipeline.companion.verdict == FAILS
     assert rep.meta["mode"] == MODE_LINEAR
-    assert rep.meta["thresholds"]["m1"] is None
+    assert [w.lo for w in rep.windows] == [2.0, 4.0, 8.0]
     assert np.all(np.diff(rep.constants) < 0)
 
 
-def test_verify_envelope_window_override(witness_params, sl2c,
-                                         theta_pipeline):
-    rep = verify_envelope(witness_params, sl2c, theta_pipeline.solution,
-                          MODE_THETA, theta=il.theta_log(), window_start=3.0)
-    assert [w.lo for w in rep.windows] == [3.0, 6.0, 12.0]
-    assert rep.verdict == HOLDS
-
-
-# ---------------------------------------------------------------- chain
-
-def test_decay_chain_default_witness(witness_params, sl2c, theta_pipeline):
-    chain = certify_decay_chain(witness_params, sl2c, il.theta_log(),
-                                theta_pipeline.solution)
-    assert chain.all_ok
-    assert [l.name for l in chain.links] == [
-        "transform-growth", "theta-threshold", "sinh-domination"]
-    # m1 is off-grid here, so the theta link certifies vacuously
-    assert chain.links[1].detail["vacuous"] is True
-    assert chain.links[2].detail["max_log_margin"] <= 0.0
-    d = chain.to_json_dict()
-    assert d["all_ok"] is True and len(d["links"]) == 3
-
-
-@pytest.fixture(scope="module")
-def ongrid_solution(sl2c, offset_grid):
-    p = CounterexampleParams(alpha=0.1, eta=0.85)
-    f = build_initial_data(p, sl2c, offset_grid)
-    return p, il.evolve_group_closed_form(sl2c, f,
-                                          il.SchrodingerParams(t0=p.t0))
-
-
-def test_decay_chain_on_grid_threshold(sl2c, ongrid_solution):
-    p, u = ongrid_solution
-    chain = certify_decay_chain(p, sl2c, il.theta_log(), u)
-    assert chain.all_ok
-    link = chain.links[1]
-    assert link.detail["vacuous"] is False
-    assert link.detail["n_nodes"] > 0
-    assert link.detail["max_theta"] < link.detail["target"]
+def test_envelope_input_validation(witness_params, sl2c, witness,
+                                  theta_pipeline):
+    u = theta_pipeline.solution
+    with pytest.raises(ValueError, match="unknown mode"):
+        verify_envelope(witness_params, sl2c, u, "exponential",
+                        theta=il.theta_log())
+    with pytest.raises(ValueError, match="theta"):
+        theorem_dichotomy_experiment(sl2c, None, witness, 1.0)
+    with pytest.raises(ValueError, match="decreasing"):
+        verify_envelope(witness_params, sl2c, u, MODE_THETA,
+                        theta=il.psi_linear())
+    with pytest.raises(ValueError, match="decreasing"):
+        theorem_dichotomy_experiment(sl2c, il.psi_linear(), witness, 1.0)
 
 
 # ---------------------------------------------------------------- dichotomy
