@@ -14,7 +14,7 @@ from .construct import (DivergentProfileError, GridTooSmallError,
                         support_mass_fractions)
 from .counterexample import (MODE_LINEAR, MODE_THETA, CounterexampleParams,
                              PipelineResult, SupportTouchesZeroError,
-                             build_bump, build_initial_data, run_pipeline,
+                             build_initial_data, run_pipeline,
                              theorem_dichotomy_experiment, verify_envelope)
 from .envelopes import (FAILS, HOLDS, EnvelopeReport, WindowFit,
                         WindowTooSmallError, fit_dyadic, fit_nested)
@@ -51,7 +51,7 @@ __all__ = [
     "SchrodingerParams", "SincProductSpec", "SpectralFunction",
     "SphericalTransform", "SupportTouchesZeroError",
     "WallSingularityError", "WindowFit", "WindowTooSmallError",
-    "build_bump", "build_initial_data", "c_function", "c_inverse",
+    "build_initial_data", "c_function", "c_inverse",
     "calibrate_group_constant", "classify_integral", "decay_certificate",
     "evaluate_product_fourier", "evolve_closed_form",
     "evolve_group_closed_form", "evolve_group_spectral", "evolve_spectral",

@@ -100,14 +100,6 @@ class CounterexampleParams:
         }
 
 
-def build_bump(beta_prime: float, beta: float, grid: Grid) -> SampledFunction:
-    """Unit-mass smooth bump supported exactly in [beta_prime, beta]."""
-    if not (0.0 < beta_prime < beta):
-        raise ValueError("need 0 < beta_prime < beta")
-    return SampledFunction.from_callable(grid, smooth_bump(beta_prime, beta),
-                                         label="bump")
-
-
 def build_initial_data(params: CounterexampleParams, G: GroupModel,
                        grid: Grid) -> SampledFunction:
     """Witness initial data; even, compactly supported away from 0."""
@@ -141,6 +133,17 @@ def _theta_decay(theta: DecayProfile | None):
     return lambda b: b * theta(b)
 
 
+def _envelope_decay(params: CounterexampleParams, mode: str,
+                    theta: DecayProfile | None):
+    """Decay exponent and theta of ``mode``; refuses a bad mode or theta."""
+    if mode == MODE_LINEAR:
+        return (lambda b: params.eta * b), theta
+    if mode == MODE_THETA:
+        theta = theta_log() if theta is None else theta
+        return _theta_decay(theta), theta
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def _envelope_ratio(G: GroupModel, u: SampledFunction, alpha: float,
                     decay) -> np.ndarray:
     """|u| * phi0^(-alpha) * exp(decay(|H|_B)) at the nodes of u's grid."""
@@ -161,14 +164,7 @@ def verify_envelope(params: CounterexampleParams, G: GroupModel,
     envelope that the uniqueness principle makes unattainable for
     nonzero data.
     """
-    if mode == MODE_LINEAR:
-        decay = lambda b: params.eta * b
-    elif mode == MODE_THETA:
-        if theta is None:
-            theta = theta_log()
-        decay = _theta_decay(theta)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    decay, theta = _envelope_decay(params, mode, theta)
     alpha = params.alpha if alpha_override is None else float(alpha_override)
     ratio = _envelope_ratio(G, u_t0, alpha, decay)
     meta = {
@@ -225,6 +221,8 @@ def run_pipeline(params: CounterexampleParams, mode: str = MODE_THETA, *,
                  grid: Grid | None = None, n_windows: int = 3,
                  slack: float = 0.10) -> PipelineResult:
     """Build the witness, evolve it, and verify both envelopes."""
+    # refuse a bad mode or theta before the witness is built and evolved
+    _, theta = _envelope_decay(params, mode, theta)
     if G is None:
         G = sl2c()
     if grid is None:

@@ -97,12 +97,11 @@ def _warn_on_tail(xi: np.ndarray, spectral_values: np.ndarray, what: str):
             AliasingWarning, stacklevel=3)
 
 
-def evolve_spectral(f: SampledFunction, params: SchrodingerParams,
-                    check_aliasing: bool = True) -> SampledFunction:
+def evolve_spectral(f: SampledFunction,
+                    params: SchrodingerParams) -> SampledFunction:
     """Exact flow on the line via the dual-grid multiplier."""
     fhat = fourier_transform(f)
-    if check_aliasing:
-        _warn_on_tail(fhat.xi_values, fhat.values, "initial data")
+    _warn_on_tail(fhat.xi_values, fhat.values, "initial data")
     mult = np.exp(-1j * params.t0 * (fhat.xi_values ** 2 + params.c))
     uhat = SpectralFunction(fhat.xi_values, fhat.values * mult, label=f.label)
     return inverse_fourier_transform(uhat, f.grid)
@@ -139,15 +138,13 @@ def _require_zero_c(params: SchrodingerParams):
 
 
 def evolve_group_spectral(G: GroupModel, f: SampledFunction,
-                          params: SchrodingerParams,
-                          check_aliasing: bool = True) -> SampledFunction:
+                          params: SchrodingerParams) -> SampledFunction:
     """Model-space flow through the spherical transform and back."""
     _require_zero_c(params)
     F = spherical_transform_reduced(G, f)
     lam = F.lambda_values
-    if check_aliasing:
-        ghat = F.values * c_inverse(G, lam) / G.weyl_order
-        _warn_on_tail(lam, ghat, "initial data")
+    ghat = F.values * c_inverse(G, lam) / G.weyl_order
+    _warn_on_tail(lam, ghat, "initial data")
     mult = np.exp(-1j * params.t0 * (G.b_norm_dual(lam) ** 2
                                      + G.rho_b_norm_sq))
     U = SphericalTransform(lam, F.values * mult, label=f.label)
@@ -179,7 +176,7 @@ def calibrate_group_constant(G: GroupModel, time_sign: float = 1.0) -> complex:
         grid, lambda H: np.exp(-H * H).astype(complex), label="calibration")
     t = sign * 1.0
     params = SchrodingerParams(t0=t)
-    u_sp = evolve_group_spectral(G, f, params, check_aliasing=False)
+    u_sp = evolve_group_spectral(G, f, params)
 
     H = grid.nodes
     phi = phi_weight(G, H)

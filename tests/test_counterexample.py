@@ -6,13 +6,15 @@ import pytest
 from scipy.integrate import quad
 
 import inghamlab as il
+from inghamlab import counterexample
 from inghamlab.construct import realize_function, spec_from_theta
 from inghamlab.counterexample import (
     MODE_LINEAR, MODE_THETA, CounterexampleParams, SupportTouchesZeroError,
-    build_bump, build_initial_data, theorem_dichotomy_experiment,
+    build_initial_data, run_pipeline, theorem_dichotomy_experiment,
     verify_envelope)
 from inghamlab.envelopes import FAILS, HOLDS
 from inghamlab.groups import WallSingularityError, default_grid, phi_weight
+from inghamlab.initialdata import smooth_bump
 from inghamlab.profiles import DecayProfile, ProfileKind
 
 
@@ -55,18 +57,21 @@ def test_params_rejects_bad_weights(kwargs):
 
 # ---------------------------------------------------------------- bump
 
+def _bump(lo, hi, grid):
+    return il.SampledFunction.from_callable(grid, smooth_bump(lo, hi))
+
+
 def test_bump_has_unit_mass():
     # fine one-sided grid so the quadrature error is far below the target
     grid = il.Grid(0.0, 0.5, 65536)
-    b = build_bump(0.125, 0.25, grid)
+    b = _bump(0.125, 0.25, grid)
     mass = grid.step * float(np.sum(b.values.real))
     assert mass == pytest.approx(1.0, abs=1e-9)
-    assert b.label == "bump"
 
 
 def test_bump_support_is_exact():
     grid = il.Grid(0.0, 0.5, 65536)
-    b = build_bump(0.125, 0.25, grid)
+    b = _bump(0.125, 0.25, grid)
     x = grid.nodes
     outside = (x <= 0.125) | (x >= 0.25)
     assert np.all(b.values[outside] == 0.0)
@@ -77,10 +82,8 @@ def test_bump_support_is_exact():
 
 def test_bump_rejects_bad_interval():
     grid = il.Grid(0.0, 0.5, 64)
-    with pytest.raises(ValueError, match="beta_prime"):
-        build_bump(0.3, 0.2, grid)
-    with pytest.raises(ValueError, match="beta_prime"):
-        build_bump(0.0, 0.2, grid)
+    with pytest.raises(ValueError, match="lo < hi"):
+        _bump(0.3, 0.2, grid)
 
 
 # ---------------------------------------------------------------- initial data
@@ -185,6 +188,17 @@ def test_envelope_input_validation(witness_params, sl2c, witness,
                         theta=il.psi_linear())
     with pytest.raises(ValueError, match="decreasing"):
         theorem_dichotomy_experiment(sl2c, il.psi_linear(), witness, 1.0)
+
+
+def test_pipeline_refuses_before_it_evolves(witness_params, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the witness was evolved before the refusal")
+
+    monkeypatch.setattr(counterexample, "evolve_group_closed_form", never)
+    with pytest.raises(ValueError, match="is a psi profile"):
+        run_pipeline(witness_params, MODE_THETA, theta=il.psi_power())
+    with pytest.raises(ValueError, match="unknown mode 'exponential'"):
+        run_pipeline(witness_params, "exponential")
 
 
 # ---------------------------------------------------------------- dichotomy

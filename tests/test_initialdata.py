@@ -45,10 +45,10 @@ def test_bump_support_and_mass():
     np.testing.assert_allclose(mass, 1.0, atol=1e-9)
 
 
-def test_bump_without_normalization():
-    raw = idata.smooth_bump(0.25, 1.0, normalize=False)
-    mid = 0.5 * (0.25 + 1.0)
-    np.testing.assert_allclose(raw(mid), np.exp(-1.0))
+def test_unit_bump_mass_matches_quadrature():
+    mass, _ = quad(lambda y: float(np.exp(-1.0 / (1.0 - y * y))), -1.0, 1.0,
+                   epsabs=1e-14, epsrel=1e-13)
+    assert idata._UNIT_BUMP_MASS == pytest.approx(mass, rel=1e-15)
 
 
 def test_bump_rejects_bad_interval():
