@@ -28,7 +28,8 @@ from .envelopes import HOLDS
 from .fourier import fourier_transform, fourier_transform_direct, l2_norm
 from .grids import Grid, SampledFunction, SpectralFunction
 from .groups import (DEFAULT_GRID, phi_weight, preset,
-                     spherical_transform_direct, spherical_transform_reduced)
+                     spherical_transform_direct, spherical_transform_reduced,
+                     symmetrize)
 from .schrodinger import (SchrodingerParams, evolve_closed_form,
                           evolve_group_closed_form, evolve_group_spectral,
                           evolve_spectral)
@@ -51,7 +52,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "radius": {"type": "number", "exclusiveMinimum": 0},
-                "points": {"type": "integer", "minimum": 2},
+                "points": {"type": "integer", "minimum": 2,
+                           "maximum": 2 ** 22},
                 "offset": {"type": "boolean"},
             },
         },
@@ -330,13 +332,19 @@ def _run_evolve(opts, out):
             u = evolve_group_closed_form(G, f, params)
         else:
             u = evolve_group_spectral(G, f, params)
+        # the group flow conserves the L2 norm of u phi from f_sym phi
+        phi = phi_weight(G, grid.nodes)
+        norm = "phi-weighted l2"
+        before = l2_norm(f.with_values(symmetrize(f).values * phi))
+        after = l2_norm(u.with_values(u.values * phi))
     else:
         u = evolve_closed_form(f, params) if path == "closed" \
             else evolve_spectral(f, params)
+        norm, before, after = "l2", l2_norm(f), l2_norm(u)
     io.write_samples_csv(out / "solution.csv", u)
-    results = {"l2_initial": l2_norm(f), "l2_solution": l2_norm(u)}
-    print(f"[evolve] {name} by t0={t0:g} ({path}): l2 {results['l2_initial']:.6f} "
-          f"-> {results['l2_solution']:.6f}")
+    results = {"l2_initial": before, "l2_solution": after}
+    print(f"[evolve] {name} by t0={t0:g} ({path}): {norm} {before:.6f} "
+          f"-> {after:.6f}")
     return results, ["solution.csv"], None
 
 

@@ -99,8 +99,13 @@ def _direct_sum(x: np.ndarray, values: np.ndarray, h: float, xi: np.ndarray,
     rows = max(1, _BLOCK_BYTES // (16 * x.size))
     out = np.empty(xi.size, dtype=complex)
     for start in range(0, xi.size, rows):
-        block = xi[start:start + rows]
-        phases = np.exp(sign * 1j * np.outer(block, x))
+        arg = np.outer(xi[start:start + rows], x)
+        # exp(sign i arg) from cos and sin: the same bits, without complex exp
+        phases = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=phases.real)
+        np.sin(arg, out=phases.imag)
+        if sign < 0:
+            np.negative(phases.imag, out=phases.imag)
         out[start:start + rows] = phases @ values
     return h * out
 

@@ -4,11 +4,20 @@ Every CSV cell is exactly ``repr(float(value))``: the shortest text that
 parses back to the same float64.  Rows follow grid order, so identical
 inputs produce bit-identical files.  The writer takes its digits from
 orjson's Ryu formatter, blocks of ``CSV_BLOCK_ROWS`` rows at a time so
-that memory stays bounded, and maps Ryu's notation onto ``repr``'s:
-exponents get a sign and two digits (``e16`` -> ``e+16``, ``e-6`` ->
-``e-06``), the decade [1e-5, 1e-4) that Ryu keeps positional becomes
-scientific (``0.0000123`` -> ``1.23e-05``), and the ``null`` orjson
-writes for a non-finite cell becomes ``nan``, ``inf`` or ``-inf``.
+that memory stays bounded.  Ryu and ``repr`` spell a *plain* cell alike:
+a finite cell with |v| in [1e-4, 1e16) (positional in both) or |v| < 1e-9
+(a two- or three-digit exponent in both).  The block is dumped with every
+other cell set to NaN, and each ``null`` orjson writes there is spliced
+out for that cell's own text.  Cells with 1e-9 <= |v| < 1e-5 are the
+numerous kind: their exponent is -6 to -9, so one dump of just those
+cells, with ``e-`` widened to ``e-0``, spells them (``1.5e-7`` ->
+``1.5e-07``).  Finite cells with |v| >= 1e16 get one dump with ``e``
+widened to ``e+`` (``1e16`` -> ``1e+16``).  The rest, the decade
+[1e-5, 1e-4) that Ryu keeps positional, NaN and +-inf, take ``repr``
+itself.  The thresholds are the floats nearest their powers of ten, and
+the shortest digits of a float lie below 10^k exactly when the float
+lies below fl(10^k), so comparing floats sorts each cell by the
+exponent Ryu prints.
 
 JSON is written with sorted keys and no timestamps for the same reason;
 non-finite floats are stringified because strict JSON has no spelling
@@ -18,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -29,28 +37,35 @@ from .grids import SampledFunction, SpectralFunction
 
 CSV_BLOCK_ROWS = 1 << 16
 
-# Ryu notation -> repr notation.  Literal templates and patterns that start
-# with a literal keep each pass fast; the look-behind skips "10.00001".
-_NOTATION = (
-    (re.compile(rb"e(?=[0-9])"), rb"e+"),
-    (re.compile(rb"e-(?=[0-9](?![0-9]))"), rb"e-0"),
-    (re.compile(rb"0\.0000(?<![0-9]0\.0000)([1-9])([0-9]*)"), rb"\1.\2e-05"),
-)
+_NUMPY = orjson.OPT_SERIALIZE_NUMPY
+# Finite cells that are not plain but that one dump of their own spells
+# right after one replace: |v| in [lo, hi) and Ryu text -> repr text.
+# Exponents -6 to -9 gain a zero; exponents 16 to 308 gain a sign.
+_RESPELL = ((1e-9, 1e-5, b"e-", b"e-0"), (1e16, np.inf, b"e", b"e+"))
 
 
 def _csv_block(cells: np.ndarray) -> bytes:
     """Rows ``a,b,c\n`` of an (n, 3) float64 block, each cell its repr."""
-    text = orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)
+    size = np.abs(cells)
+    plain = ((size >= 1e-4) & (size < 1e16)) | (size < 1e-9)
+    text = orjson.dumps(np.where(plain, cells, np.nan), option=_NUMPY)
     text = text[2:-2].replace(b"],[", b"\n") + b"\n"
-    for pattern, template in _NOTATION:
-        text = pattern.sub(template, text)
-    text = text.replace(b".e-05", b"e-05")  # a one-digit mantissa has no dot
-    nonfinite = cells[~np.isfinite(cells)]
-    if nonfinite.size:
-        pieces = text.split(b"null")
-        text = pieces[0] + b"".join(repr(v).encode() + piece for v, piece
-                                    in zip(nonfinite.tolist(), pieces[1:]))
-    return text
+    odd, odd_size = cells[~plain], size[~plain]
+    if not odd.size:
+        return text
+    spelled = np.empty(odd.size, dtype=object)
+    rest = np.ones(odd.size, dtype=bool)
+    for lo, hi, ryu, spelling in _RESPELL:
+        kind = (odd_size >= lo) & (odd_size < hi)
+        if kind.any():
+            rest &= ~kind
+            digits = orjson.dumps(odd[kind], option=_NUMPY)[1:-1]
+            spelled[kind] = digits.replace(ryu, spelling).split(b",")
+    spelled[rest] = [repr(v).encode() for v in odd[rest].tolist()]
+    joined = [None] * (2 * odd.size + 1)
+    joined[::2] = text.split(b"null")
+    joined[1::2] = spelled.tolist()
+    return b"".join(joined)
 
 
 def _write_csv(path, coord: str, points, values) -> None:

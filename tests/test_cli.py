@@ -8,6 +8,7 @@ import pytest
 
 from inghamlab import construct
 from inghamlab.cli import CONFIG_SCHEMA, main
+from inghamlab.grids import Grid
 
 
 def _manifest(out_dir):
@@ -207,6 +208,29 @@ def test_flag_values_meet_the_config_bounds(tmp_path, capsys, source, flag,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_grid_points_above_the_bound_build_nothing(tmp_path, capsys,
+                                                   monkeypatch, source):
+    # 2**22, the bound decay_certificate enforces, holds for every grid
+    jsonschema.validate({"grid": {"points": 2 ** 22}}, CONFIG_SCHEMA)
+
+    def no_grid(self):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(Grid, "__post_init__", no_grid)
+    if source == "flag":
+        given = ["--grid-points", str(2 ** 22 + 1)]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"grid": {"points": 2 ** 22 + 1}}))
+        given = ["--config", str(path)]
+    out = tmp_path / "out"
+    assert main(["evolve", "--path", "closed", *given, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: config rejected: 4194305 is "
+                                       "greater than the maximum of 4194304\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_initial_profile(tmp_path, capsys):
     rc = main(["transform", "--initial", "nope", "--out", str(tmp_path),
                "--grid-points", "256"])
@@ -273,6 +297,20 @@ def test_group_transform_uses_half_step_grid(tmp_path):
     assert m["config"]["group"] == "sl2c"
     assert m["config"]["grid"] == {"radius": 32.0, "points": 2048,
                                    "offset": True}
+
+
+@pytest.mark.parametrize("path", ["spectral", "closed"])
+def test_group_evolve_reports_the_conserved_norm(tmp_path, capsys, path):
+    # the group flow conserves the L2 norm of u phi, from f_sym phi
+    cfg = tmp_path / "bump.json"
+    cfg.write_text(json.dumps({"initial": {"name": "bump",
+                                           "params": {"lo": -0.5, "hi": 1.5}}}))
+    out = tmp_path / path
+    assert main(["evolve", "--group", "sl2c", "--config", str(cfg),
+                 "--path", path, "--out", str(out)]) == 0
+    res = _manifest(out)["results"]
+    assert res["l2_solution"] == pytest.approx(res["l2_initial"], rel=1e-12)
+    assert "phi-weighted l2" in capsys.readouterr().out
 
 
 def test_evolve_conserves_l2(tmp_path):

@@ -69,11 +69,15 @@ def test_csv_floats_roundtrip(tmp_path):
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True,
                        allow_subnormal=True, width=64)
 # each seam between repr's and Ryu's notation, signed zeros, non-finite
-# cells, and 10.00001, whose "0.00001" tail must stay positional
+# cells, 10.00001, whose "0.00001" tail must stay positional, and the
+# floats either side of each threshold the writer sorts cells by
 _SEAMS = [1e-05, -1.5e-05, 9.999999999999999e-05, 0.0001, 1e-06, 1e-09,
           1e-10, 9999999999999998.0, 1e16, 1e100, 5e-324,
           1.7976931348623157e308, 10.00001, -0.0, 0.0, float("nan"),
-          float("inf"), float("-inf")]
+          float("inf"), float("-inf"), -1e-09, -1e16] + [
+    sign * float(np.nextafter(threshold, toward))
+    for threshold in (1e-9, 1e-5, 1e-4, 1e16)
+    for toward in (0.0, np.inf) for sign in (1.0, -1.0)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,6 +96,39 @@ def test_csv_blocks_join_seamlessly(tmp_path, monkeypatch, n_rows):
     cells = np.where(rng.random(shape) < 0.5, rng.choice(_SEAMS, shape),
                      rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 20, shape))
     _assert_written_as_reference(tmp_path, cells)
+
+
+# log10 ranges of |v| for each class of cell the writer spells its own way
+_CELL_CLASSES = {
+    "plain": [(-4.0, 16.0), (-323.0, -9.0)],
+    "one-digit-exponent": [(-9.0, -5.0)],
+    "decade": [(-5.0, -4.0)],
+    "huge": [(16.0, 308.0)],
+}
+
+
+def _class_cells(kind, n_cells, rng):
+    """Cells of one class with random signs, "nonfinite" included."""
+    if kind == "nonfinite":
+        return rng.choice([np.nan, np.inf, -np.inf], n_cells)
+    ranges = np.array(_CELL_CLASSES[kind])
+    lo, hi = ranges[rng.integers(len(ranges), size=n_cells)].T
+    return rng.choice([-1.0, 1.0], n_cells) * 10.0 ** rng.uniform(lo, hi)
+
+
+@pytest.mark.parametrize("kind", [*_CELL_CLASSES, "nonfinite"])
+def test_csv_blocks_of_one_class(tmp_path, monkeypatch, kind):
+    monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 4)
+    rng = np.random.default_rng(len(kind))
+    _assert_written_as_reference(tmp_path, _class_cells(kind, 3 * 11, rng))
+
+
+def test_csv_blocks_mixing_every_class(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 4)
+    rng = np.random.default_rng(1)
+    cells = [_class_cells(kind, 24, rng) for kind in [*_CELL_CLASSES, "nonfinite"]]
+    _assert_written_as_reference(
+        tmp_path, rng.permutation(np.concatenate([*cells, _SEAMS])))
 
 
 @pytest.mark.parametrize("argv", [
